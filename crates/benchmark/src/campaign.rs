@@ -2,21 +2,26 @@
 //! measurement path.
 //!
 //! A campaign is a dataset grid measured chunk by chunk into a
-//! checkpointed [`crate::store::CampaignStore`]. The runner owns its
-//! threads (`std::thread::scope`, no pool dependency) and steals work at
-//! **chunk** granularity:
+//! checkpointed [`crate::store::CampaignStore`]. The scheduler behind
+//! it, [`schedule_chunks`], is also what
+//! [`DatasetSpec::generate_with_faults`] runs on: `generate` is an
+//! in-memory campaign whose chunks are one topology × configuration
+//! row each. The scheduler owns its threads (`std::thread::scope`, no
+//! pool dependency) and steals work at **chunk** granularity:
 //!
 //! * The canonical cell order ([`crate::cells::CellGrid`]) is cut into
-//!   fixed-size chunks of `checkpoint_every` cells. Chunk indices are
-//!   dealt round-robin onto per-worker deques.
+//!   fixed-size chunks. Chunk indices are dealt round-robin onto
+//!   per-worker deques (a campaign deals them in index order,
+//!   `generate` costliest topology first).
 //! * A worker pops its own deque from the front; when empty, it steals
 //!   from the *back* of the most-loaded victim (classic Chase–Lev
 //!   shape, here with plain mutexed deques — contention is one lock op
-//!   per chunk, and a chunk is thousands of simulator runs).
-//! * Finished chunks are sent to the committer, which buffers
-//!   out-of-order arrivals and appends to the store strictly in chunk
-//!   order. Each append is flushed — the frame boundary is the
-//!   checkpoint a crash resumes from.
+//!   per chunk, and a chunk is many simulator runs).
+//! * Finished chunks are sent to the committer on the calling thread,
+//!   which buffers out-of-order arrivals and commits strictly in chunk
+//!   order: a campaign appends and flushes each chunk to the store —
+//!   the frame boundary is the checkpoint a crash resumes from — and
+//!   `generate` appends its records in memory.
 //!
 //! # Why N threads ≡ 1 thread, byte for byte
 //!
@@ -26,13 +31,15 @@
 //! ([`crate::noise::cell_stream`], [`crate::fault::fault_stream`] — the
 //! PR 3 salting pattern, extended here to the whole campaign), each
 //! chunk is a pure function of its cell-id range, and the committer
-//! serializes chunks in index order. The store bytes are therefore a
-//! pure function of `(header, grid)`, which the differential
-//! determinism suite (`tests/campaign_determinism.rs`) pins at 1/2/4/8
-//! threads. Nothing wall-clock-derived is ever written (enforced
-//! statically by the `no-wallclock-in-deterministic` lint rule).
+//! serializes chunks in index order. The store bytes — and
+//! `generate`'s records — are therefore a pure function of
+//! `(header, grid)`, which the differential determinism suite
+//! (`tests/campaign_determinism.rs`) pins at 1/2/4/8 threads. Nothing
+//! wall-clock-derived is ever written (enforced statically by the
+//! `no-wallclock-in-deterministic` lint rule).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -101,11 +108,12 @@ struct StealQueues {
 }
 
 impl StealQueues {
-    /// Deal the chunk range round-robin onto `workers` deques, so every
-    /// worker starts with a spread of the remaining work.
-    fn deal(first_chunk: u64, total_chunks: u64, workers: usize) -> StealQueues {
+    /// Deal `order` round-robin onto `workers` deques, so every worker
+    /// starts with a spread of the remaining work and takes its share
+    /// in `order`.
+    fn deal(order: &[u64], workers: usize) -> StealQueues {
         let mut queues: Vec<VecDeque<u64>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, chunk) in (first_chunk..total_chunks).enumerate() {
+        for (i, &chunk) in order.iter().enumerate() {
             queues[i % workers].push_back(chunk);
         }
         StealQueues {
@@ -148,90 +156,195 @@ impl StealQueues {
                 .pop_back();
             if stolen.is_some() {
                 self.steals.fetch_add(1, Ordering::Relaxed);
-                mpcp_obs::counter_add!("campaign.steals", 1);
                 return stolen;
             }
         }
     }
 }
 
-/// Measure one chunk: the contiguous cell-id range
-/// `[index·chunk_size, min((index+1)·chunk_size, |grid|))`, walked in
-/// canonical order. Pure function of `(grid, seed, configs, machine,
-/// bench, plan, retry, index)` — the determinism anchor.
-#[allow(clippy::too_many_arguments)]
-fn measure_chunk(
-    grid: &CellGrid,
-    configs: &[AlgorithmConfig],
-    machine: &Machine,
-    seed: u64,
-    bench: &BenchConfig,
-    noise: &NoiseModel,
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    index: u64,
-    chunk_size: u64,
-) -> ChunkData {
-    let start = index * chunk_size;
-    let end = (start + chunk_size).min(grid.len());
-    let mut chunk = ChunkData { index, start, ..ChunkData::default() };
-    let mut span = mpcp_obs::span("campaign.chunk").attr("index", index);
-    let mut id = start;
-    while id < end {
-        // One simulator per (nodes, ppn) run — cells are topo-major, so
-        // equal-topology cells are contiguous within the chunk.
-        let head = grid.cell(id);
-        let topo = Topology::new(head.nodes, head.ppn);
-        let sim = Simulator::new(&machine.model, &topo);
-        while id < end {
-            let cell = grid.cell(id);
-            if cell.nodes != head.nodes || cell.ppn != head.ppn {
-                break;
+/// The work-stealing chunk scheduler shared by [`run_campaign`] and
+/// [`DatasetSpec::generate_with_faults`].
+///
+/// Measures every chunk index in `chunks` with `measure` on `threads`
+/// workers and hands the results to `commit` on the calling thread,
+/// strictly in ascending chunk order. Chunks are dealt onto the worker
+/// deques in descending `cost` (ties in index order), so the costliest
+/// chunks start first and the tail of the run is made of cheap ones;
+/// `cost` only orders the work and never reaches `commit`. The first
+/// commit error stops the workers and is returned; otherwise the
+/// result is the number of chunks stolen.
+pub(crate) fn schedule_chunks<T: Send, E>(
+    chunks: Range<u64>,
+    threads: usize,
+    cost: impl Fn(u64) -> u64,
+    measure: impl Fn(u64) -> T + Sync,
+    mut commit: impl FnMut(T) -> Result<(), E>,
+) -> Result<u64, E> {
+    let mut order: Vec<u64> = chunks.clone().collect();
+    order.sort_by_key(|&c| std::cmp::Reverse(cost(c)));
+    let workers = threads.clamp(1, order.len().max(1));
+    let queues = StealQueues::deal(&order, workers);
+    let mut result = Ok(());
+    if !order.is_empty() {
+        let (tx, rx) = mpsc::channel::<(u64, T)>();
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let tx = tx.clone();
+                let queues = &queues;
+                let measure = &measure;
+                scope.spawn(move || {
+                    while let Some(index) = queues.next(w) {
+                        // A send error means the committer stopped
+                        // (commit failure); stop measuring.
+                        if tx.send((index, measure(index))).is_err() {
+                            break;
+                        }
+                    }
+                });
             }
-            let cfg = &configs[cell.uid as usize];
-            chunk.nodes.push(cell.nodes);
-            chunk.ppn.push(cell.ppn);
-            chunk.msizes.push(cell.msize);
-            chunk.uids.push(cell.uid);
-            match measure_grid_cell(&sim, &topo, cfg, cell, seed, bench, noise, plan, retry) {
-                CellMeasurement::Measured { record, result } => {
-                    chunk.fates.push(fate::OK);
-                    chunk.alg_ids.push(record.alg_id);
-                    chunk.excluded.push(u8::from(record.excluded));
-                    chunk.runtimes.push(record.runtime);
-                    chunk.bases.push(record.base);
-                    chunk.reps.push(record.reps);
-                    chunk.retries += u64::from(result.attempts - 1);
-                    chunk.retry_picos += result.retry_overhead.picos();
-                    chunk.consumed_picos += result.consumed.picos();
-                }
-                CellMeasurement::Lost(result) => {
-                    chunk.fates.push(match result.outcome {
-                        crate::fault::CellOutcome::TimedOut => fate::TIMED_OUT,
-                        _ => fate::FAILED,
-                    });
-                    chunk.retries += u64::from(result.attempts - 1);
-                    chunk.retry_picos += result.retry_overhead.picos();
-                    chunk.consumed_picos += result.consumed.picos();
-                }
-                CellMeasurement::SimError(e) => {
-                    chunk.fates.push(fate::SIM_ERROR);
-                    eprintln!(
-                        "warning: campaign cell {} ({} n={} ppn={} m={}): {e}",
-                        cell.id,
-                        cfg.label(),
-                        cell.nodes,
-                        cell.ppn,
-                        cell.msize
-                    );
+            drop(tx);
+            // Committer: buffer out-of-order chunks, commit in order and
+            // drop each one as soon as it is committed.
+            let mut pending: BTreeMap<u64, T> = BTreeMap::new();
+            let mut next = chunks.start;
+            'commit: while let Ok((index, chunk)) = rx.recv() {
+                pending.insert(index, chunk);
+                while let Some(chunk) = pending.remove(&next) {
+                    if let Err(e) = commit(chunk) {
+                        result = Err(e);
+                        break 'commit;
+                    }
+                    next += 1;
                 }
             }
-            id += 1;
-        }
+            // Dropping rx unblocks any worker parked in send().
+            drop(rx);
+        });
     }
-    span.set_attr("cells", chunk.cells());
-    span.set_attr("ok", chunk.ok_cells());
-    chunk
+    result.map(|()| queues.steals.load(Ordering::Relaxed))
+}
+
+/// Records and accounting folded from chunks in commit order.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Measured records, in canonical cell order.
+    pub records: Vec<Record>,
+    /// Merged fault accounting.
+    pub faults: FaultSummary,
+    /// Simulated benchmark time consumed, picoseconds.
+    pub consumed_picos: u64,
+}
+
+impl Tally {
+    /// Fold in the next chunk.
+    pub fn add(&mut self, chunk: &ChunkData) {
+        self.records.extend(chunk.to_records());
+        self.faults.merge(&chunk.summary());
+        self.consumed_picos += chunk.consumed_picos;
+    }
+}
+
+/// Everything one chunk's measurement depends on. [`ChunkJob::measure`]
+/// is a pure function of these fields and the chunk index — the
+/// determinism anchor.
+pub(crate) struct ChunkJob<'a> {
+    /// The canonical cell order.
+    pub grid: CellGrid,
+    /// The library's configurations for the collective, by uid.
+    pub configs: &'a [AlgorithmConfig],
+    /// Machine the grid is simulated on.
+    pub machine: &'a Machine,
+    /// Campaign seed (the noise and fault streams hang off it).
+    pub seed: u64,
+    /// The ReproMPI loop.
+    pub bench: &'a BenchConfig,
+    /// Fault plan, if any.
+    pub plan: Option<&'a FaultPlan>,
+    /// Retry policy for failed attempts.
+    pub retry: &'a RetryPolicy,
+    /// Cells per chunk (>= 1).
+    pub chunk_size: u64,
+}
+
+impl ChunkJob<'_> {
+    /// Number of chunks the grid is cut into.
+    pub fn chunks(&self) -> u64 {
+        self.grid.len().div_ceil(self.chunk_size)
+    }
+
+    /// Measure one chunk: the contiguous cell-id range
+    /// `[index·chunk_size, min((index+1)·chunk_size, |grid|))`, walked
+    /// in canonical order, with one `measure` span per topology run.
+    pub fn measure(&self, index: u64) -> ChunkData {
+        let noise = NoiseModel::default();
+        let start = index * self.chunk_size;
+        let end = (start + self.chunk_size).min(self.grid.len());
+        let mut chunk = ChunkData { index, start, ..ChunkData::default() };
+        let mut id = start;
+        while id < end {
+            // One simulator per (nodes, ppn) run — cells are topo-major,
+            // so equal-topology cells are contiguous within the chunk.
+            let head = self.grid.cell(id);
+            let mut span = mpcp_obs::span("measure")
+                .attr("nodes", head.nodes)
+                .attr("ppn", head.ppn);
+            let run_start = id;
+            let topo = Topology::new(head.nodes, head.ppn);
+            let sim = Simulator::new(&self.machine.model, &topo);
+            while id < end {
+                let cell = self.grid.cell(id);
+                if cell.nodes != head.nodes || cell.ppn != head.ppn {
+                    break;
+                }
+                let cfg = &self.configs[cell.uid as usize];
+                chunk.nodes.push(cell.nodes);
+                chunk.ppn.push(cell.ppn);
+                chunk.msizes.push(cell.msize);
+                chunk.uids.push(cell.uid);
+                let measured = measure_grid_cell(
+                    &sim, &topo, cfg, cell, self.seed, self.bench, &noise, self.plan, self.retry,
+                );
+                match measured {
+                    CellMeasurement::Measured { record, result } => {
+                        chunk.fates.push(fate::OK);
+                        chunk.alg_ids.push(record.alg_id);
+                        chunk.excluded.push(u8::from(record.excluded));
+                        chunk.runtimes.push(record.runtime);
+                        chunk.bases.push(record.base);
+                        chunk.reps.push(record.reps);
+                        chunk.retries += u64::from(result.attempts - 1);
+                        chunk.retry_picos += result.retry_overhead.picos();
+                        chunk.consumed_picos += result.consumed.picos();
+                    }
+                    CellMeasurement::Lost(result) => {
+                        chunk.fates.push(match result.outcome {
+                            crate::fault::CellOutcome::TimedOut => fate::TIMED_OUT,
+                            _ => fate::FAILED,
+                        });
+                        chunk.retries += u64::from(result.attempts - 1);
+                        chunk.retry_picos += result.retry_overhead.picos();
+                        chunk.consumed_picos += result.consumed.picos();
+                    }
+                    CellMeasurement::SimError(e) => {
+                        // A broken cell must not abort the grid: count
+                        // it and move on.
+                        chunk.fates.push(fate::SIM_ERROR);
+                        eprintln!(
+                            "warning: cell {} ({} n={} ppn={} m={}): {e}",
+                            cell.id,
+                            cfg.label(),
+                            cell.nodes,
+                            cell.ppn,
+                            cell.msize
+                        );
+                    }
+                }
+                id += 1;
+            }
+            span.set_attr("cells", id - run_start);
+        }
+        chunk
+    }
 }
 
 /// Run (or resume) a campaign over `spec`'s grid into the store at
@@ -253,9 +366,16 @@ pub fn run_campaign(
     store_path: &Path,
 ) -> Result<CampaignReport, StoreError> {
     let threads = cfg.threads.max(1);
-    let chunk_size = cfg.checkpoint_every.max(1);
-    let configs = library.configs(spec.coll);
-    let grid = spec.cell_grid(library);
+    let job = ChunkJob {
+        grid: spec.cell_grid(library),
+        configs: library.configs(spec.coll),
+        machine: &spec.machine,
+        seed: spec.seed,
+        bench,
+        plan,
+        retry,
+        chunk_size: cfg.checkpoint_every.max(1),
+    };
     let header = StoreHeader::new(
         spec.id,
         spec.coll.mpi_name(),
@@ -266,13 +386,13 @@ pub fn run_campaign(
         spec.nodes.clone(),
         spec.ppn.clone(),
         spec.msizes.clone(),
-        configs.len(),
-        chunk_size,
+        job.configs.len(),
+        job.chunk_size,
         bench,
         retry,
         plan,
     );
-    let cells_total = grid.len();
+    let cells_total = job.grid.len();
     let chunks_total = header.total_chunks();
 
     let mut span = mpcp_obs::span("campaign.run")
@@ -290,70 +410,35 @@ pub fn run_campaign(
     let cells_resumed = store.cells_done();
     mpcp_obs::counter_add!("campaign.cells_resumed", cells_resumed);
 
-    let mut records: Vec<Record> = Vec::new();
-    let mut faults = FaultSummary::default();
-    let mut consumed_picos = 0u64;
+    let mut tally = Tally::default();
     for chunk in &resumed {
-        records.extend(chunk.to_records());
-        faults.merge(&chunk.summary());
-        consumed_picos += chunk.consumed_picos;
+        tally.add(chunk);
     }
 
-    let noise = NoiseModel::default();
-    let queues = StealQueues::deal(chunks_resumed, chunks_total, threads);
-    let mut commit_error: Option<StoreError> = None;
-    if chunks_resumed < chunks_total {
-        let (tx, rx) = mpsc::channel::<(u64, ChunkData)>();
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let tx = tx.clone();
-                let queues = &queues;
-                let grid = &grid;
-                let machine = &spec.machine;
-                let noise = &noise;
-                scope.spawn(move || {
-                    while let Some(index) = queues.next(w) {
-                        let chunk = measure_chunk(
-                            grid, configs, machine, spec.seed, bench, noise, plan, retry, index,
-                            chunk_size,
-                        );
-                        // A send error means the committer stopped
-                        // (append failure); stop measuring.
-                        if tx.send((index, chunk)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Committer: buffer out-of-order chunks, append in order.
-            let mut pending: BTreeMap<u64, ChunkData> = BTreeMap::new();
-            let mut next = chunks_resumed;
-            'commit: while let Ok((index, chunk)) = rx.recv() {
-                pending.insert(index, chunk);
-                while let Some(chunk) = pending.remove(&next) {
-                    if let Err(e) = store.append(&chunk) {
-                        commit_error = Some(e);
-                        break 'commit;
-                    }
-                    mpcp_obs::counter_add!("campaign.chunks", 1);
-                    mpcp_obs::counter_add!("campaign.cells", chunk.cells());
-                    records.extend(chunk.to_records());
-                    faults.merge(&chunk.summary());
-                    consumed_picos += chunk.consumed_picos;
-                    next += 1;
-                }
-            }
-            // Dropping rx unblocks any worker parked in send().
-            drop(rx);
-        });
-    }
-    if let Some(e) = commit_error {
-        return Err(e);
-    }
+    // Chunks are measured in index order, so the committed prefix — the
+    // part a crash keeps — grows steadily.
+    let steals = schedule_chunks(
+        chunks_resumed..chunks_total,
+        threads,
+        |_| 0,
+        |index| {
+            let mut chunk_span = mpcp_obs::span("campaign.chunk").attr("index", index);
+            let chunk = job.measure(index);
+            chunk_span.set_attr("cells", chunk.cells());
+            chunk_span.set_attr("ok", chunk.ok_cells());
+            chunk
+        },
+        |chunk| {
+            store.append(&chunk)?;
+            mpcp_obs::counter_add!("campaign.chunks", 1);
+            mpcp_obs::counter_add!("campaign.cells", chunk.cells());
+            tally.add(&chunk);
+            Ok::<(), StoreError>(())
+        },
+    )?;
+    mpcp_obs::counter_add!("campaign.steals", steals);
 
-    let steals = queues.steals.load(Ordering::Relaxed);
-    span.set_attr("records", records.len());
+    span.set_attr("records", tally.records.len());
     span.set_attr("steals", steals);
     span.set_attr("cells_resumed", cells_resumed);
     if let Some(t0) = wall {
@@ -365,9 +450,9 @@ pub fn run_campaign(
     }
 
     Ok(CampaignReport {
-        records,
-        faults,
-        total_bench: SimTime(consumed_picos),
+        records: tally.records,
+        faults: tally.faults,
+        total_bench: SimTime(tally.consumed_picos),
         cells_total,
         cells_resumed,
         chunks_total,
@@ -408,6 +493,69 @@ mod tests {
         assert_eq!(report.total_bench, direct.total_bench);
         assert_eq!(report.cells_total, spec.sample_count(&lib) as u64);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn scheduler_commits_every_chunk_once_in_order_at_any_thread_count() {
+        // Skewed: the 128-rank topology costs far more than the 2-rank
+        // one, so workers finish their deques at different times and
+        // steal.
+        let spec = DatasetSpec {
+            nodes: vec![2, 16],
+            ppn: vec![1, 8],
+            msizes: vec![16, 4 << 10],
+            ..DatasetSpec::tiny_for_tests()
+        };
+        let lib = spec.library(None);
+        let bench = BenchConfig::quick();
+        let plan = FaultPlan { timeout_prob: 0.05, ..FaultPlan::uniform(0.2, 5) };
+        let retry = RetryPolicy::no_retries();
+        let job = ChunkJob {
+            grid: spec.cell_grid(&lib),
+            configs: lib.configs(spec.coll),
+            machine: &spec.machine,
+            seed: spec.seed,
+            bench: &bench,
+            plan: Some(&plan),
+            retry: &retry,
+            chunk_size: spec.msizes.len() as u64,
+        };
+        let run = |threads: usize| {
+            let mut committed: Vec<ChunkData> = Vec::new();
+            let Ok(_steals) = schedule_chunks(
+                0..job.chunks(),
+                threads,
+                |index| u64::from(job.grid.cell(index * job.chunk_size).nodes),
+                |index| job.measure(index),
+                |chunk| {
+                    committed.push(chunk);
+                    Ok::<(), std::convert::Infallible>(())
+                },
+            );
+            committed
+        };
+        let bits = |chunks: &[ChunkData]| -> Vec<u64> {
+            chunks
+                .iter()
+                .flat_map(|c| c.runtimes.iter().chain(&c.bases))
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let base = run(1);
+        for threads in [1usize, 2, 3, 8] {
+            let chunks = run(threads);
+            let indices: Vec<u64> = chunks.iter().map(|c| c.index).collect();
+            assert_eq!(indices, (0..job.chunks()).collect::<Vec<_>>(), "{threads} threads");
+            let mut summary = FaultSummary::default();
+            for c in &chunks {
+                summary.merge(&c.summary());
+            }
+            assert!(summary.cells_ok > 0 && summary.cells_failed > 0, "plan must be lossy");
+            // Measured + lost + sim-error cells: every cell exactly once.
+            assert_eq!(summary.total() as u64, job.grid.len(), "{threads} threads");
+            assert_eq!(chunks, base, "{threads}-thread chunks differ from 1-thread");
+            assert_eq!(bits(&chunks), bits(&base), "{threads} threads");
+        }
     }
 
     #[test]

@@ -148,11 +148,11 @@ pub enum CellMeasurement {
 /// Measure one grid cell: one deterministic simulation plus the
 /// fault-aware ReproMPI loop on the cell's own noise stream.
 ///
-/// This is the single measurement path shared by the sequential dataset
-/// generator and the parallel campaign runner; a cell's outcome is a
-/// pure function of `(seed, cell coordinates, bench, plan, retry)`, so
-/// the two paths — and any thread interleaving inside the campaign —
-/// produce bit-identical results.
+/// This is the single measurement path behind every chunk of the
+/// campaign scheduler, which both `generate` and the campaign runner
+/// use; a cell's outcome is a pure function of
+/// `(seed, cell coordinates, bench, plan, retry)`, so any chunking and
+/// any thread interleaving produce bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_grid_cell(
     sim: &Simulator<'_>,

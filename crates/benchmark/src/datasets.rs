@@ -7,17 +7,16 @@
 //! Table III training set adds node count 20 — we follow Table III; see
 //! DESIGN.md "Known deviations").
 
+use std::convert::Infallible;
 use std::path::Path;
-
-use rayon::prelude::*;
 
 use mpcp_collectives::{Collective, MpiLibrary};
 use mpcp_collectives::decision::TuningGrid;
-use mpcp_simnet::{Machine, SimTime, Simulator, Topology};
+use mpcp_simnet::{Machine, SimTime};
 
-use crate::cells::{measure_grid_cell, CellGrid, CellMeasurement};
+use crate::campaign::{schedule_chunks, ChunkJob, Tally};
+use crate::cells::CellGrid;
 use crate::fault::{FaultPlan, FaultSummary, RetryPolicy};
-use crate::noise::NoiseModel;
 use crate::record::{read_csv, write_csv, Record};
 use crate::repro::BenchConfig;
 
@@ -292,6 +291,15 @@ impl DatasetSpec {
     /// Benchmark the grid under a fault plan: cells may fail, time out,
     /// or be blacked out, and failed attempts are retried per `retry`.
     ///
+    /// This is an in-memory campaign: the grid runs on the campaign
+    /// runner's work-stealing scheduler, one topology × configuration
+    /// row (`|msizes|` cells) per chunk, on
+    /// `std::thread::available_parallelism` workers that start with the
+    /// largest topologies. Chunks are committed in canonical cell order
+    /// and every cell's noise and fault streams depend only on
+    /// `(seed, cell)`, so the output is the same at any thread count and
+    /// equals [`crate::campaign::run_campaign`]'s over the same grid.
+    ///
     /// Passing `None` (or a no-op plan) produces records **bit-identical**
     /// to [`DatasetSpec::generate`] — fault fates draw from a stream
     /// independent of the measurement noise. Cells lost to faults are
@@ -305,73 +313,45 @@ impl DatasetSpec {
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
     ) -> DatasetResult {
-        let noise = NoiseModel::default();
-        let configs = library.configs(self.coll);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let job = ChunkJob {
+            grid: self.cell_grid(library),
+            configs: library.configs(self.coll),
+            machine: &self.machine,
+            seed: self.seed,
+            bench,
+            plan,
+            retry,
+            chunk_size: self.msizes.len().max(1) as u64,
+        };
         let mut grid_span = mpcp_obs::span("bench.grid")
             .attr("dataset", self.id)
-            .attr("configs", configs.len());
+            .attr("configs", job.configs.len());
         let wall = mpcp_obs::maybe_now();
-        // The canonical cell enumeration shared with the campaign runner:
-        // parallelize over (nodes, ppn) topology groups, each worker
-        // walking its group's contiguous cell-id range in order.
-        let grid = self.cell_grid(library);
-        let groups: Vec<usize> = (0..grid.topo_groups()).collect();
-        let cells: Vec<(Vec<Record>, SimTime, FaultSummary)> = groups
-            .par_iter()
-            .map(|&g| {
-                let (n, ppn) = grid.group(g);
-                let _cell_span = mpcp_obs::span("measure")
-                    .attr("nodes", n)
-                    .attr("ppn", ppn)
-                    .attr("cells", configs.len() * self.msizes.len());
-                let topo = Topology::new(n, ppn);
-                let sim = Simulator::new(&self.machine.model, &topo);
-                let mut records = Vec::with_capacity(configs.len() * self.msizes.len());
-                let mut consumed = SimTime::ZERO;
-                let mut faults = FaultSummary::default();
-                for cell in grid.group_cells(g) {
-                    let cfg = &configs[cell.uid as usize];
-                    match measure_grid_cell(
-                        &sim, &topo, cfg, cell, self.seed, bench, &noise, plan, retry,
-                    ) {
-                        CellMeasurement::Measured { record, result } => {
-                            faults.absorb(&result);
-                            consumed += result.consumed;
-                            records.push(record);
-                        }
-                        CellMeasurement::Lost(result) => {
-                            faults.absorb(&result);
-                            consumed += result.consumed;
-                        }
-                        CellMeasurement::SimError(e) => {
-                            // A broken cell must not abort the grid:
-                            // count it and move on.
-                            eprintln!(
-                                "warning: {} {} n={n} ppn={ppn} m={}: {e}",
-                                self.id,
-                                cfg.label(),
-                                cell.msize
-                            );
-                            faults.sim_errors += 1;
-                        }
-                    }
-                }
-                (records, consumed, faults)
-            })
-            .collect();
-        let mut records = Vec::new();
-        let mut total_bench = SimTime::ZERO;
-        let mut faults = FaultSummary::default();
-        for (r, c, f) in cells {
-            records.extend(r);
-            total_bench += c;
-            faults.merge(&f);
-        }
+        let mut tally = Tally::default();
+        let Ok(steals) = schedule_chunks(
+            0..job.chunks(),
+            threads,
+            // A row's rank count stands in for its cost: simulator
+            // events grow with it.
+            |index| {
+                let cell = job.grid.cell(index * job.chunk_size);
+                u64::from(cell.nodes) * u64::from(cell.ppn)
+            },
+            |index| job.measure(index),
+            |chunk| {
+                tally.add(&chunk);
+                Ok::<(), Infallible>(())
+            },
+        );
+        let Tally { records, faults, consumed_picos } = tally;
+        let total_bench = SimTime(consumed_picos);
         mpcp_obs::counter_add!("bench.cells_failed", faults.cells_failed as u64);
         grid_span.set_attr("records", records.len());
         grid_span.set_attr("cells_failed", faults.cells_failed);
         grid_span.set_attr("cells_timed_out", faults.cells_timed_out);
         grid_span.set_attr("sim_bench_secs", total_bench.as_secs_f64());
+        grid_span.set_attr("steals", steals);
         if let Some(t0) = wall {
             let secs = t0.elapsed().as_secs_f64();
             if secs > 0.0 {

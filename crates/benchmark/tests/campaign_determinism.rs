@@ -65,6 +65,15 @@ fn store_faults_and_csv_are_byte_identical_at_1_2_4_8_threads() {
     write_csv(&base_csv, &base_report.records).expect("write csv");
     let base_csv_bytes = std::fs::read(&base_csv).expect("read csv");
 
+    // generate_with_faults is an in-memory campaign on the same
+    // scheduler: the same records and accounting, whatever its thread
+    // count and chunking.
+    let lib = spec.library(None);
+    let direct = spec.generate_with_faults(&lib, &bench, Some(&plan), &RetryPolicy::default());
+    assert_eq!(direct.records, base_report.records, "generate records differ");
+    assert_eq!(direct.faults, base_report.faults, "generate faults differ");
+    assert_eq!(direct.total_bench, base_report.total_bench, "generate total_bench differs");
+
     for threads in [2usize, 4, 8] {
         let path = tmp(&format!("threads_{threads}"));
         let (report, bytes) = run_once(&spec, &bench, Some(&plan), threads, 7, &path);
@@ -145,5 +154,11 @@ proptest! {
         prop_assert_eq!(r1.records, rn.records);
         prop_assert_eq!(r1.faults, rn.faults);
         prop_assert_eq!(r1.total_bench, rn.total_bench);
+        let direct = spec.generate_with_faults(
+            &spec.library(None), &bench, Some(&plan), &RetryPolicy::default(),
+        );
+        prop_assert_eq!(direct.records, r1.records);
+        prop_assert_eq!(direct.faults, r1.faults);
+        prop_assert_eq!(direct.total_bench, r1.total_bench);
     }
 }
