@@ -642,8 +642,10 @@ impl NetServer {
         }
         // Half-close the read side of every live connection: readers
         // see EOF and exit; writers first drain the replies already
-        // admitted (the clean part of the drain), then close.
-        for (_, s) in lock(&self.shared.conns).drain() {
+        // admitted (the clean part of the drain), then close. The
+        // entries stay in the map: each reader's `close_conn` removes
+        // its own and settles `connections_open`.
+        for s in lock(&self.shared.conns).values() {
             let _ = s.shutdown(Shutdown::Read);
         }
         let handles: Vec<JoinHandle<()>> = lock(&self.shared.handles).drain(..).collect();

@@ -77,13 +77,39 @@ fn grid(coll: Collective) -> Vec<Instance> {
         .collect()
 }
 
+/// The tests in this binary. libtest runs each on a thread named after
+/// it (the kernel keeps the first 15 bytes as the thread's `comm`), and
+/// starts and retires those threads on its own schedule — also while
+/// another test holds `NET_LOCK` between its baseline and its drain
+/// check.
+const TESTS: [&str; 5] = [
+    "sustained_multi_connection_load_is_lossless_and_bit_identical",
+    "wedged_workers_shed_degraded_answers_and_never_drop",
+    "saturated_shedding_degrades_to_typed_overloaded_errors",
+    "idle_connections_are_reaped_and_shutdown_leaks_nothing",
+    "wire_shutdown_op_stops_the_daemon_for_all_clients",
+];
+
+/// Threads alive in this process, not counting libtest's threads for
+/// the *other* tests of this binary. Every thread the daemon spawns is
+/// counted: named ones carry `mpcp-net-*` names, and unnamed ones
+/// inherit the calling test's own name.
 fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .unwrap_or_default()
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+    let me = std::thread::current().name().unwrap_or_default().to_owned();
+    let harness: Vec<&str> = TESTS
+        .iter()
+        .filter(|t| **t != me)
+        .map(|t| &t[..t.len().min(15)])
+        .collect();
+    std::fs::read_dir("/proc/self/task")
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|task| {
+            let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            !harness.contains(&comm.trim_end())
+        })
+        .count()
 }
 
 /// Poll until the process thread count drops back to `baseline`
