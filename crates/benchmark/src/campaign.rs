@@ -5,9 +5,11 @@
 //! checkpointed [`crate::store::CampaignStore`]. The scheduler behind
 //! it, [`schedule_chunks`], is also what
 //! [`DatasetSpec::generate_with_faults`] runs on: `generate` is an
-//! in-memory campaign whose chunks are one topology × configuration
-//! row each. The scheduler owns its threads (`std::thread::scope`, no
-//! pool dependency) and steals work at **chunk** granularity:
+//! in-memory campaign whose chunks are one topology group each (every
+//! configuration × message size of one `(nodes, ppn)`), so that group's
+//! [`MakespanMemo`] sees all of its duplicate schedules. The scheduler
+//! owns its threads (`std::thread::scope`, no pool dependency) and
+//! steals work at **chunk** granularity:
 //!
 //! * The canonical cell order ([`crate::cells::CellGrid`]) is cut into
 //!   fixed-size chunks. Chunk indices are dealt round-robin onto
@@ -44,8 +46,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 
-use mpcp_collectives::{AlgorithmConfig, MpiLibrary};
-use mpcp_simnet::{Machine, SimTime, Simulator, Topology};
+use mpcp_collectives::{AlgorithmConfig, MakespanMemo, MpiLibrary};
+use mpcp_simnet::{Machine, SimTime, Topology};
 
 use crate::cells::{measure_grid_cell, CellGrid, CellMeasurement};
 use crate::datasets::DatasetSpec;
@@ -274,23 +276,26 @@ impl ChunkJob<'_> {
 
     /// Measure one chunk: the contiguous cell-id range
     /// `[index·chunk_size, min((index+1)·chunk_size, |grid|))`, walked
-    /// in canonical order, with one `measure` span per topology run.
-    pub fn measure(&self, index: u64) -> ChunkData {
+    /// in canonical order, with one `measure` span and one
+    /// [`MakespanMemo`] per topology run. The memo is dropped when its
+    /// run ends, so it never outlives the cells that can hit it.
+    pub fn measure(&self, index: u64) -> MeasuredChunk {
         let noise = NoiseModel::default();
         let start = index * self.chunk_size;
         let end = (start + self.chunk_size).min(self.grid.len());
         let mut chunk = ChunkData { index, start, ..ChunkData::default() };
+        let mut sim_reused = 0;
         let mut id = start;
         while id < end {
-            // One simulator per (nodes, ppn) run — cells are topo-major,
-            // so equal-topology cells are contiguous within the chunk.
+            // One memo per (nodes, ppn) run — cells are topo-major, so
+            // equal-topology cells are contiguous within the chunk.
             let head = self.grid.cell(id);
             let mut span = mpcp_obs::span("measure")
                 .attr("nodes", head.nodes)
                 .attr("ppn", head.ppn);
             let run_start = id;
             let topo = Topology::new(head.nodes, head.ppn);
-            let sim = Simulator::new(&self.machine.model, &topo);
+            let mut memo = MakespanMemo::new(&self.machine.model, &topo);
             while id < end {
                 let cell = self.grid.cell(id);
                 if cell.nodes != head.nodes || cell.ppn != head.ppn {
@@ -302,7 +307,7 @@ impl ChunkJob<'_> {
                 chunk.msizes.push(cell.msize);
                 chunk.uids.push(cell.uid);
                 let measured = measure_grid_cell(
-                    &sim, &topo, cfg, cell, self.seed, self.bench, &noise, self.plan, self.retry,
+                    &mut memo, cfg, cell, self.seed, self.bench, &noise, self.plan, self.retry,
                 );
                 match measured {
                     CellMeasurement::Measured { record, result } => {
@@ -341,10 +346,23 @@ impl ChunkJob<'_> {
                 }
                 id += 1;
             }
+            mpcp_obs::counter_add!("bench.sim_reused", memo.reused());
+            sim_reused += memo.reused();
             span.set_attr("cells", id - run_start);
+            span.set_attr("sims", memo.sims());
+            span.set_attr("reused", memo.reused());
         }
-        chunk
+        MeasuredChunk { data: chunk, sim_reused }
     }
+}
+
+/// A measured chunk plus how many of its cells reused the makespan of
+/// an identical, already simulated schedule.
+pub(crate) struct MeasuredChunk {
+    /// The chunk's cells, as committed.
+    pub data: ChunkData,
+    /// Cells whose makespan came from the memo instead of a simulation.
+    pub sim_reused: u64,
 }
 
 /// Run (or resume) a campaign over `spec`'s grid into the store at
@@ -423,7 +441,7 @@ pub fn run_campaign(
         |_| 0,
         |index| {
             let mut chunk_span = mpcp_obs::span("campaign.chunk").attr("index", index);
-            let chunk = job.measure(index);
+            let chunk = job.measure(index).data;
             chunk_span.set_attr("cells", chunk.cells());
             chunk_span.set_attr("ok", chunk.ok_cells());
             chunk
@@ -526,7 +544,7 @@ mod tests {
                 0..job.chunks(),
                 threads,
                 |index| u64::from(job.grid.cell(index * job.chunk_size).nodes),
-                |index| job.measure(index),
+                |index| job.measure(index).data,
                 |chunk| {
                     committed.push(chunk);
                     Ok::<(), std::convert::Infallible>(())
@@ -600,5 +618,113 @@ mod tests {
             assert_eq!(report.records.len(), spec.sample_count(&lib));
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    /// A d2-shaped miniature: Open MPI allreduce on Hydra, with message
+    /// sizes whose per-rank blocks make segmented rings collapse onto
+    /// the plain ring.
+    fn d2_mini() -> DatasetSpec {
+        DatasetSpec {
+            nodes: vec![2, 4],
+            ppn: vec![1, 4],
+            msizes: vec![16, 1 << 10, 64 << 10],
+            ..DatasetSpec::d2()
+        }
+    }
+
+    /// The grid's records with one fresh, unshared simulation per cell.
+    fn unmemoised_records(spec: &DatasetSpec, lib: &MpiLibrary, bench: &BenchConfig) -> Vec<Record> {
+        let configs = lib.configs(spec.coll);
+        let noise = NoiseModel::default();
+        let mut records = Vec::new();
+        for cell in spec.cell_grid(lib).iter() {
+            let topo = Topology::new(cell.nodes, cell.ppn);
+            let cfg = &configs[cell.uid as usize];
+            let progs = cfg.build(&topo, cell.msize);
+            let base = mpcp_simnet::Simulator::new(&spec.machine.model, &topo)
+                .run(&progs)
+                .unwrap()
+                .makespan();
+            let mut stream =
+                crate::noise::cell_stream(spec.seed, cell.uid, cell.nodes, cell.ppn, cell.msize);
+            let result = crate::fault::measure_cell(
+                base,
+                bench,
+                &noise,
+                &mut stream,
+                None,
+                &RetryPolicy::default(),
+                (cell.uid, cell.nodes, cell.ppn, cell.msize),
+            );
+            let crate::fault::CellOutcome::Ok(m) = result.outcome else {
+                panic!("no fault plan, yet cell {} was lost", cell.id);
+            };
+            records.push(Record {
+                nodes: cell.nodes,
+                ppn: cell.ppn,
+                msize: cell.msize,
+                uid: cell.uid,
+                alg_id: cfg.alg_id,
+                excluded: cfg.excluded,
+                runtime: m.median_secs,
+                base: m.base.as_secs_f64(),
+                reps: m.reps,
+            });
+        }
+        records
+    }
+
+    #[test]
+    fn memoised_generate_equals_one_simulation_per_cell() {
+        let bits = |records: &[Record]| -> Vec<(u64, u64, u32)> {
+            records.iter().map(|r| (r.runtime.to_bits(), r.base.to_bits(), r.reps)).collect()
+        };
+        let bench = BenchConfig::quick();
+        for spec in [DatasetSpec::tiny_for_tests(), d2_mini()] {
+            let lib = spec.library(None);
+            let expected = unmemoised_records(&spec, &lib, &bench);
+            let got = spec.generate(&lib, &bench).records;
+            assert_eq!(got, expected, "{}", spec.id);
+            assert_eq!(bits(&got), bits(&expected), "{}", spec.id);
+        }
+    }
+
+    #[test]
+    fn reuse_count_equals_the_brute_force_duplicate_count() {
+        let spec = d2_mini();
+        let lib = spec.library(None);
+        let bench = BenchConfig::quick();
+        let retry = RetryPolicy::default();
+        let configs = lib.configs(spec.coll);
+        let grid = spec.cell_grid(&lib);
+        // Cells whose programs equal an earlier cell's in the same
+        // topology group (the memo's scope), found by `==` alone.
+        let mut duplicates = 0u64;
+        for g in 0..grid.topo_groups() {
+            let (nodes, ppn) = grid.group(g);
+            let topo = Topology::new(nodes, ppn);
+            let mut seen: Vec<Vec<mpcp_simnet::Program>> = Vec::new();
+            for cell in grid.group_cells(g) {
+                let progs = configs[cell.uid as usize].build(&topo, cell.msize);
+                if seen.contains(&progs) {
+                    duplicates += 1;
+                } else {
+                    seen.push(progs);
+                }
+            }
+        }
+        assert!(duplicates > 0, "the grid must hold duplicate schedules");
+        let job = ChunkJob {
+            chunk_size: grid.group_len(),
+            grid,
+            configs,
+            machine: &spec.machine,
+            seed: spec.seed,
+            bench: &bench,
+            plan: None,
+            retry: &retry,
+        };
+        let reused: u64 = (0..job.chunks()).map(|i| job.measure(i).sim_reused).sum();
+        assert_eq!(reused, duplicates);
     }
 }

@@ -23,8 +23,8 @@
 //! to bijectively, so any partition of ids across threads replays the
 //! exact same draws.
 
-use mpcp_collectives::AlgorithmConfig;
-use mpcp_simnet::{SimError, Simulator, Topology};
+use mpcp_collectives::{AlgorithmConfig, MakespanMemo};
+use mpcp_simnet::SimError;
 
 use crate::fault::{measure_cell, CellOutcome, CellResult, FaultPlan, RetryPolicy};
 use crate::noise::{cell_stream, NoiseModel};
@@ -145,8 +145,14 @@ pub enum CellMeasurement {
     SimError(SimError),
 }
 
-/// Measure one grid cell: one deterministic simulation plus the
+/// Measure one grid cell: its noise-free makespan from `memo` plus the
 /// fault-aware ReproMPI loop on the cell's own noise stream.
+///
+/// `memo` is scoped to the cell's topology. It simulates the cell's
+/// programs unless an earlier cell on that topology compiled to
+/// identical programs, in which case that cell's makespan (or
+/// simulation error) is reported — the same `SimTime` a fresh
+/// simulation gives, since the simulator is deterministic.
 ///
 /// This is the single measurement path behind every chunk of the
 /// campaign scheduler, which both `generate` and the campaign runner
@@ -155,8 +161,7 @@ pub enum CellMeasurement {
 /// any thread interleaving produce bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_grid_cell(
-    sim: &Simulator<'_>,
-    topo: &Topology,
+    memo: &mut MakespanMemo<'_>,
     cfg: &AlgorithmConfig,
     cell: Cell,
     seed: u64,
@@ -165,9 +170,10 @@ pub fn measure_grid_cell(
     plan: Option<&FaultPlan>,
     retry: &RetryPolicy,
 ) -> CellMeasurement {
-    let progs = cfg.build(topo, cell.msize);
-    let base = match sim.run(&progs) {
-        Ok(run) => run.makespan(),
+    let topo = memo.topology();
+    debug_assert_eq!((topo.nodes(), topo.ppn()), (cell.nodes, cell.ppn), "memo topology");
+    let base = match memo.makespan(cfg, cell.msize) {
+        Ok(base) => base,
         Err(e) => {
             mpcp_obs::counter_add!("bench.sim_errors", 1);
             return CellMeasurement::SimError(e);

@@ -292,11 +292,16 @@ impl DatasetSpec {
     /// or be blacked out, and failed attempts are retried per `retry`.
     ///
     /// This is an in-memory campaign: the grid runs on the campaign
-    /// runner's work-stealing scheduler, one topology × configuration
-    /// row (`|msizes|` cells) per chunk, on
+    /// runner's work-stealing scheduler, one topology group
+    /// ([`CellGrid::group_len`] cells: every configuration at every
+    /// message size of one `(nodes, ppn)`) per chunk, on
     /// `std::thread::available_parallelism` workers that start with the
-    /// largest topologies. Chunks are committed in canonical cell order
-    /// and every cell's noise and fault streams depend only on
+    /// largest topologies. Each chunk keeps one
+    /// [`mpcp_collectives::MakespanMemo`], so a configuration that
+    /// compiles to the same programs as an earlier one in its group
+    /// reuses that makespan instead of being simulated again (counted
+    /// by `bench.sim_reused`). Chunks are committed in canonical cell
+    /// order and every cell's noise and fault streams depend only on
     /// `(seed, cell)`, so the output is the same at any thread count and
     /// equals [`crate::campaign::run_campaign`]'s over the same grid.
     ///
@@ -314,25 +319,27 @@ impl DatasetSpec {
         retry: &RetryPolicy,
     ) -> DatasetResult {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let grid = self.cell_grid(library);
         let job = ChunkJob {
-            grid: self.cell_grid(library),
+            chunk_size: grid.group_len().max(1),
+            grid,
             configs: library.configs(self.coll),
             machine: &self.machine,
             seed: self.seed,
             bench,
             plan,
             retry,
-            chunk_size: self.msizes.len().max(1) as u64,
         };
         let mut grid_span = mpcp_obs::span("bench.grid")
             .attr("dataset", self.id)
             .attr("configs", job.configs.len());
         let wall = mpcp_obs::maybe_now();
         let mut tally = Tally::default();
+        let mut sim_reused = 0;
         let Ok(steals) = schedule_chunks(
             0..job.chunks(),
             threads,
-            // A row's rank count stands in for its cost: simulator
+            // A group's rank count stands in for its cost: simulator
             // events grow with it.
             |index| {
                 let cell = job.grid.cell(index * job.chunk_size);
@@ -340,7 +347,8 @@ impl DatasetSpec {
             },
             |index| job.measure(index),
             |chunk| {
-                tally.add(&chunk);
+                tally.add(&chunk.data);
+                sim_reused += chunk.sim_reused;
                 Ok::<(), Infallible>(())
             },
         );
@@ -352,6 +360,7 @@ impl DatasetSpec {
         grid_span.set_attr("cells_timed_out", faults.cells_timed_out);
         grid_span.set_attr("sim_bench_secs", total_bench.as_secs_f64());
         grid_span.set_attr("steals", steals);
+        grid_span.set_attr("sim_reused", sim_reused);
         if let Some(t0) = wall {
             let secs = t0.elapsed().as_secs_f64();
             if secs > 0.0 {

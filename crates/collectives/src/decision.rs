@@ -14,10 +14,11 @@
 
 use std::collections::BTreeMap;
 
-use mpcp_simnet::{NetworkModel, Simulator, Topology};
+use mpcp_simnet::{NetworkModel, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::coll::{AlgKind, AlgorithmConfig, Collective};
+use crate::memo::MakespanMemo;
 
 /// A library's built-in algorithm selection heuristic.
 pub trait DecisionLogic: Send + Sync {
@@ -251,7 +252,8 @@ pub struct IntelDecision {
 impl IntelDecision {
     /// Run the vendor sweep: for every grid point and collective,
     /// simulate every selectable configuration (noise-free) and record
-    /// the argmin.
+    /// the argmin. Configurations that compile to the same programs are
+    /// simulated once per topology ([`MakespanMemo`]).
     ///
     /// This models what Intel's tuning utilities do at library-install
     /// time; it is the reason the paper finds Intel MPI's default to be
@@ -265,19 +267,16 @@ impl IntelDecision {
         for (&coll, list) in configs {
             for &n in &grid.nodes {
                 for &ppn in &grid.ppn {
-                    let topo = Topology::new(n, ppn);
-                    let sim = Simulator::new(model, &topo);
+                    let mut memo = MakespanMemo::new(model, &Topology::new(n, ppn));
                     for &m in &grid.msizes {
                         let mut best = (f64::INFINITY, 0usize);
                         for (idx, cfg) in list.iter().enumerate() {
                             if cfg.excluded {
                                 continue;
                             }
-                            let progs = cfg.build(&topo, m);
-                            let t = sim
-                                .run(&progs)
+                            let t = memo
+                                .makespan(cfg, m)
                                 .unwrap_or_else(|e| panic!("{} failed: {e}", cfg.label()))
-                                .makespan()
                                 .as_secs_f64();
                             if t < best.0 {
                                 best = (t, idx);
@@ -417,5 +416,37 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(d.select(Collective::Alltoall, m, &topo), manual_best);
+    }
+
+    #[test]
+    fn memoised_tuning_picks_the_unmemoised_argmin_everywhere() {
+        // An independent sweep with one fresh simulation per
+        // configuration and the same first-minimum tie-break must give
+        // the same default at every tuning-grid point.
+        let machine = Machine::hydra();
+        let mut configs = BTreeMap::new();
+        for coll in [Collective::Bcast, Collective::Allreduce, Collective::Alltoall] {
+            configs.insert(coll, registry::intel(coll));
+        }
+        let grid = TuningGrid::tiny();
+        let d = IntelDecision::tune(&machine.model, &configs, grid.clone());
+        for (&coll, list) in &configs {
+            for &n in &grid.nodes {
+                for &ppn in &grid.ppn {
+                    let topo = Topology::new(n, ppn);
+                    let sim = mpcp_simnet::Simulator::new(&machine.model, &topo);
+                    for &m in &grid.msizes {
+                        let mut best = (f64::INFINITY, 0usize);
+                        for (idx, cfg) in list.iter().enumerate().filter(|(_, c)| !c.excluded) {
+                            let t = sim.run(&cfg.build(&topo, m)).unwrap().makespan().as_secs_f64();
+                            if t < best.0 {
+                                best = (t, idx);
+                            }
+                        }
+                        assert_eq!(d.select(coll, m, &topo), best.1, "{coll:?} m={m} {n}x{ppn}");
+                    }
+                }
+            }
+        }
     }
 }

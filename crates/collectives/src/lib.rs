@@ -22,7 +22,9 @@
 //! libraries* — "Open MPI 4.0.2" with the hard-coded threshold decision
 //! rules, and "Intel MPI 2019" whose default logic is produced by an
 //! `mpitune`-style exhaustive grid search — and [`verify`] provides
-//! volume/structure invariants used by the test suite.
+//! volume/structure invariants used by the test suite. [`memo`]
+//! simulates each distinct schedule once per topology, for dataset
+//! generation and the Intel tuning sweep alike.
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +32,7 @@ pub mod builder;
 pub mod coll;
 pub mod decision;
 pub mod library;
+pub mod memo;
 pub mod registry;
 pub mod schedules;
 pub mod trees;
@@ -38,3 +41,4 @@ pub mod verify;
 pub use coll::{AlgKind, AlgorithmConfig, Collective};
 pub use decision::{DecisionLogic, IntelDecision, OpenMpiDecision};
 pub use library::MpiLibrary;
+pub use memo::MakespanMemo;
