@@ -45,6 +45,29 @@ impl LibKind {
             LibKind::IntelMpi => "2019",
         }
     }
+
+    /// `"<name> <version>"`, the label artifact manifests record.
+    pub fn label(&self) -> String {
+        format!("{} {}", self.name(), self.version())
+    }
+}
+
+impl std::str::FromStr for LibKind {
+    type Err = String;
+
+    /// A library by command-line alias (`openmpi`, `open-mpi`,
+    /// `intelmpi`, `intel-mpi`, `intel`) or by [`LibKind::label`], in
+    /// any case.
+    fn from_str(s: &str) -> Result<LibKind, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "openmpi" | "open-mpi" => Ok(LibKind::OpenMpi),
+            "intelmpi" | "intel-mpi" | "intel" => Ok(LibKind::IntelMpi),
+            _ => [LibKind::OpenMpi, LibKind::IntelMpi]
+                .into_iter()
+                .find(|k| k.label().eq_ignore_ascii_case(s))
+                .ok_or_else(|| format!("unknown MPI library {s:?} (openmpi | intelmpi)")),
+        }
+    }
 }
 
 /// A dataset definition (one row of Table II).

@@ -18,13 +18,12 @@
 //! already consumed the whole budget.
 
 use mpcp_simnet::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::noise::{NoiseModel, SplitMix64};
 use crate::repro::{summarize, BenchConfig, Measurement};
 
 /// A deterministic fault-injection plan for one benchmark campaign.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Per-attempt probability that a cell measurement fails outright
     /// (job crash, MPI abort). Failed attempts are retryable.
@@ -181,7 +180,7 @@ pub enum CellFate {
 
 /// Bounded retry with exponential backoff, charged against the cell's
 /// time budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first failed one.
     pub max_retries: u32,
@@ -341,7 +340,7 @@ pub fn measure_cell(
 }
 
 /// Aggregated fault statistics for a benchmark campaign.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Cells that produced a usable measurement.
     pub cells_ok: usize,

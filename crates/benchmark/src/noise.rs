@@ -8,10 +8,9 @@
 //! streams, so every grid cell's observations are a pure function of the
 //! dataset seed and the cell coordinates.
 
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative log-normal noise with outliers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NoiseModel {
     /// Log-normal sigma (≈ relative standard deviation for small values).
     pub sigma: f64,

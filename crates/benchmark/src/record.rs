@@ -4,11 +4,10 @@
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
 
 /// One measured cell of a dataset: the tuple the paper's regression
 /// models train on, plus ground truth for evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Record {
     /// Number of compute nodes `n`.
     pub nodes: u32,

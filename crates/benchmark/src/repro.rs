@@ -2,13 +2,12 @@
 //! time budget, with summary statistics and consumed-time accounting.
 
 use mpcp_simnet::{NetworkModel, Program, SimError, SimTime, Simulator, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::noise::{NoiseModel, SplitMix64};
 
 /// Benchmark-loop configuration (the paper: ≤ 500 reps or ≤ 0.5 s /
 /// 1 s per cell, whichever first).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BenchConfig {
     /// Maximum repetitions per cell.
     pub max_reps: u32,
@@ -42,7 +41,7 @@ impl BenchConfig {
 }
 
 /// Summary of one measured cell.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Measurement {
     /// Noise-free simulated running time (ground truth).
     pub base: SimTime,

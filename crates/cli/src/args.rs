@@ -1,14 +1,22 @@
 //! Tiny dependency-free argument parsing: `--key value` flags plus a
 //! leading subcommand, with human-friendly size and list syntax.
+//!
+//! Every lookup marks its flag as read. A command reads all of its
+//! flags up front and then calls [`Args::reject_unread`], so a mistyped
+//! flag is an error instead of a silently ignored option.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Parsed command line: subcommand + `--key value` options.
 #[derive(Debug, Default)]
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: String,
-    opts: BTreeMap<String, String>,
+    /// Each option's value and whether a command has read it.
+    opts: BTreeMap<String, (String, Cell<bool>)>,
 }
 
 impl Args {
@@ -32,16 +40,19 @@ impl Args {
                 Some(v) if !v.starts_with("--") => it.next().unwrap_or_default(),
                 _ => "true".to_string(),
             };
-            if out.opts.insert(key.to_string(), value).is_some() {
+            if out.opts.insert(key.to_string(), (value, Cell::new(false))).is_some() {
                 return Err(format!("--{key} given twice"));
             }
         }
         Ok(out)
     }
 
-    /// Raw option lookup.
+    /// Raw option lookup; marks the flag as read.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.opts.get(key).map(|s| s.as_str())
+        self.opts.get(key).map(|(v, read)| {
+            read.set(true);
+            v.as_str()
+        })
     }
 
     /// Required string option.
@@ -54,7 +65,7 @@ impl Args {
         self.get(key).unwrap_or(default)
     }
 
-    /// All option keys (for unknown-flag diagnostics).
+    /// All option keys (for provenance).
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.opts.keys().map(|s| s.as_str())
     }
@@ -64,10 +75,58 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some(v) if v != "false")
     }
+
+    /// Optional typed option.
+    pub fn optional<T: FromStr<Err: Display>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key).map(|v| v.parse().map_err(|e| bad(key, v, e))).transpose()
+    }
+
+    /// Required typed option.
+    pub fn required<T: FromStr<Err: Display>>(&self, key: &str) -> Result<T, String> {
+        self.optional(key)?.ok_or_else(|| format!("missing required option --{key}"))
+    }
+
+    /// Typed option with default.
+    pub fn value_or<T: FromStr<Err: Display>>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.optional(key)?.unwrap_or(default))
+    }
+
+    /// Required comma-separated list: `1,8,16`.
+    pub fn list<T: FromStr<Err: Display>>(&self, key: &str) -> Result<Vec<T>, String> {
+        let v = self.require(key)?;
+        v.split(',').map(|x| x.trim().parse().map_err(|e| bad(key, v, e))).collect()
+    }
+
+    /// The one unknown-flag check: an error naming the first option no
+    /// lookup has read. Commands call it after reading their flags and
+    /// before doing any work.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        match self.opts.iter().find(|(_, (_, read))| !read.get()) {
+            Some((key, _)) => Err(format!("unknown flag --{key} for {}", self.command)),
+            None => Ok(()),
+        }
+    }
 }
 
-/// Parse a human byte size: `4096`, `1K`, `64K`, `2M`, `1G` (binary
-/// multiples, as MPI benchmarks use).
+/// The uniform bad-value error.
+fn bad(key: &str, value: &str, err: impl Display) -> String {
+    format!("bad --{key} {value:?}: {err}")
+}
+
+/// A byte size: `4096`, `1K`, `64K`, `2M`, `1G` (binary multiples, as
+/// MPI benchmarks use).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Size(pub u64);
+
+impl FromStr for Size {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Size, String> {
+        parse_size(s).map(Size)
+    }
+}
+
+/// Parse a human byte size (see [`Size`]).
 pub fn parse_size(s: &str) -> Result<u64, String> {
     let t = s.trim();
     let (num, mult) = match t.chars().last() {
@@ -77,23 +136,9 @@ pub fn parse_size(s: &str) -> Result<u64, String> {
         _ => (t, 1),
     };
     num.parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|_| format!("bad size {s:?} (use e.g. 4096, 64K, 2M)"))
-}
-
-/// Parse a comma-separated list with an element parser.
-pub fn parse_list<T, F: Fn(&str) -> Result<T, String>>(s: &str, f: F) -> Result<Vec<T>, String> {
-    s.split(',').map(|x| f(x.trim())).collect()
-}
-
-/// Parse a u32 list: `1,8,16`.
-pub fn parse_u32_list(s: &str) -> Result<Vec<u32>, String> {
-    parse_list(s, |x| x.parse::<u32>().map_err(|_| format!("bad number {x:?}")))
-}
-
-/// Parse a size list: `16,1K,64K`.
-pub fn parse_size_list(s: &str) -> Result<Vec<u64>, String> {
-    parse_list(s, parse_size)
+        .ok()
+        .and_then(|v| v.checked_mul(mult))
+        .ok_or_else(|| format!("bad size {s:?} (use e.g. 4096, 64K, 2M)"))
 }
 
 #[cfg(test)]
@@ -146,8 +191,21 @@ mod tests {
 
     #[test]
     fn lists() {
-        assert_eq!(parse_u32_list("1, 8,16").unwrap(), vec![1, 8, 16]);
-        assert_eq!(parse_size_list("16,1K").unwrap(), vec![16, 1024]);
-        assert!(parse_u32_list("1,x").is_err());
+        let a = args(&["bench", "--ppn", "1, 8,16", "--msizes", "16,1K", "--nodes", "1,x"])
+            .unwrap();
+        assert_eq!(a.list::<u32>("ppn").unwrap(), vec![1, 8, 16]);
+        assert_eq!(a.list::<Size>("msizes").unwrap(), vec![Size(16), Size(1024)]);
+        assert!(a.list::<u32>("nodes").is_err());
+    }
+
+    #[test]
+    fn typed_reads_report_the_flag_and_value() {
+        let a = args(&["simulate", "--nodes", "0", "--ppn", "x", "--msize", "4K"]).unwrap();
+        let err = a.required::<std::num::NonZeroU32>("nodes").unwrap_err();
+        assert!(err.starts_with("bad --nodes \"0\""), "{err}");
+        assert!(a.value_or("ppn", 1u32).unwrap_err().starts_with("bad --ppn \"x\""));
+        assert_eq!(a.required::<Size>("msize").unwrap(), Size(4096));
+        assert_eq!(a.value_or("alg", 3usize).unwrap(), 3);
+        assert!(a.required::<u32>("alg").unwrap_err().contains("missing required option --alg"));
     }
 }

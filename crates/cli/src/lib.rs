@@ -19,9 +19,11 @@
 //!
 //! Any command additionally accepts `--trace-out <file>` /
 //! `--metrics-out <file>` to capture spans and metrics (see `mpcp-obs`).
+//! Any other flag a command does not read is an error.
 //!
-//! The library exposes the command implementations so they are testable;
-//! `src/main.rs` is a thin wrapper.
+//! The library exposes the command implementations (one module per
+//! command under [`commands`]) so they are testable; `src/main.rs` is a
+//! thin wrapper.
 
 #![forbid(unsafe_code)]
 
@@ -132,7 +134,8 @@ OBSERVABILITY (any command):
                         pipeline shares one timeline), .jsonl => events
   --metrics-out <file>  append a provenance-stamped metrics block (JSONL)
 
-Sizes accept K/M/G suffixes (binary); lists are comma-separated.";
+Sizes accept K/M/G suffixes (binary); lists are comma-separated.
+Unknown flags are rejected: a command accepts only the flags it lists.";
 
 /// Reconstruct a canonical `mpcp ...` config string for provenance.
 fn config_line(args: &Args) -> String {
@@ -158,7 +161,7 @@ pub fn run(args: Args) -> Result<String, String> {
         mpcp_obs::set_enabled(true);
     }
     let result = match args.command.as_str() {
-        "machines" => commands::machines(),
+        "machines" => args.reject_unread().and_then(|()| commands::machines()),
         "algorithms" => commands::algorithms(&args),
         "simulate" => commands::simulate(&args),
         "bench" => commands::bench(&args),

@@ -6,7 +6,6 @@
 //! configuration index within a library's list is the unit the selection
 //! framework trains one regression model for.
 
-use serde::{Deserialize, Serialize};
 
 use mpcp_simnet::{Program, Topology};
 
@@ -24,7 +23,7 @@ use crate::schedules;
 /// message size `m` is the full vector; for `Alltoall`, `Allgather`,
 /// `Scatter` and `Gather` it is the per-rank block (send/recv count);
 /// `Barrier` ignores it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Collective {
     /// `MPI_Bcast`, root 0.
     Bcast,
@@ -84,7 +83,7 @@ impl std::fmt::Display for Collective {
 
 /// A concrete algorithm with all parameters bound (`seg = 0` means
 /// unsegmented where applicable).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AlgKind {
     // --- MPI_Bcast ---
     /// Root sends the full message to every rank, one blocking send at a
@@ -334,7 +333,7 @@ impl AlgKind {
 /// One entry of a library's algorithm list: the library-visible algorithm
 /// id `j` plus a bound parameter allocation (together: the paper's
 /// `u_{j,l}`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AlgorithmConfig {
     /// Library algorithm number `j` (what the user would pass to e.g.
     /// `coll_tuned_bcast_algorithm`).

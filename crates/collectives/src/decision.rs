@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use mpcp_simnet::{NetworkModel, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::coll::{AlgKind, AlgorithmConfig, Collective};
 use crate::memo::MakespanMemo;
@@ -181,7 +180,7 @@ impl DecisionLogic for OpenMpiDecision {
 }
 
 /// The tuning grid an [`IntelDecision`] is swept over.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TuningGrid {
     /// Node counts benchmarked by the vendor sweep.
     pub nodes: Vec<u32>,

@@ -1,14 +1,13 @@
 //! Communication-problem instances and their feature encoding.
 
 use mpcp_collectives::Collective;
-use serde::{Deserialize, Serialize};
 
 /// Number of features fed to the regression models.
 pub const NUM_FEATURES: usize = 4;
 
 /// One communication problem: "run collective `F` with `m` bytes on
 /// `n × N` processes" (Section II of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Instance {
     /// The collective operation.
     pub coll: Collective,

@@ -3,13 +3,12 @@
 // Index-based loops are clearer for these numeric kernels.
 #![allow(clippy::needless_range_loop)]
 
-use serde::{Deserialize, Serialize};
 
 /// Spline order (cubic = 4).
 pub const ORDER: usize = 4;
 
 /// A clamped B-spline basis for one feature.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BsplineBasis {
     /// Full (clamped) knot vector.
     knots: Vec<f64>,

@@ -1,10 +1,9 @@
 //! Row-major feature/target storage shared by all learners.
 
-use serde::{Deserialize, Serialize};
 
 /// A regression dataset: `n` rows of `nfeat` features plus one target
 /// each, stored row-major in flat vectors.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Dataset {
     nfeat: usize,
     x: Vec<f64>,

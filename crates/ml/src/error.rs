@@ -159,8 +159,7 @@ mod tests {
     #[test]
     fn validate_catches_degenerate_datasets() {
         // NonFiniteData is defense-in-depth only: `Dataset::push`
-        // rejects NaN at insertion, but serde deserialization does not
-        // go through `push`.
+        // rejects NaN at insertion.
         let empty = Dataset::new(2);
         assert_eq!(
             validate("X", &empty, false),

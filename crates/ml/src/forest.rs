@@ -4,14 +4,13 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, FitError};
 use crate::tree::{GradTree, SortedColumns, TreeParams};
 
 /// Forest hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ForestParams {
     /// Number of trees.
     pub trees: usize,

@@ -5,7 +5,6 @@
 // Index-based loops are clearer for these numeric kernels.
 #![allow(clippy::needless_range_loop)]
 
-use serde::{Deserialize, Serialize};
 
 use crate::bspline::BsplineBasis;
 use crate::dataset::Dataset;
@@ -14,7 +13,7 @@ use crate::linalg::{solve_spd_with_jitter, Mat};
 
 /// Exponential family + link. The paper uses Gamma with a log link for
 /// positive, right-skewed runtimes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// Gamma variance, log link (P-IRLS; constant working weights).
     GammaLog,
@@ -24,7 +23,7 @@ pub enum Family {
 
 /// GAM hyper-parameters. The smoothing parameter is fixed (no GCV/REML
 /// search) in keeping with the paper's no-tuning protocol.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GamParams {
     /// Interior knots per smooth term.
     pub interior_knots: usize,

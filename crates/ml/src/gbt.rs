@@ -7,7 +7,6 @@
 // Index-based loops are clearer for these numeric kernels.
 #![allow(clippy::needless_range_loop)]
 
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, FitError};
@@ -17,7 +16,7 @@ use crate::tree::{GradTree, SortedColumns, TreeParams};
 
 /// Boosting objective. Gamma and Tweedie model `μ = exp(score)` (log
 /// link) and assume strictly positive targets.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Objective {
     /// Plain squared error on the raw score.
     SquaredError,
@@ -78,7 +77,7 @@ impl Objective {
 }
 
 /// How the weak-learner trees search for splits.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TreeMethod {
     /// Exact greedy search over presorted columns (`xgboost`'s `exact`):
     /// O(n) per feature per node. The reference implementation.
@@ -92,7 +91,7 @@ pub enum TreeMethod {
 
 /// Boosting hyper-parameters (xgboost defaults; deliberately untuned,
 /// per the paper's robustness protocol).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GbtParams {
     /// Number of boosting rounds (the paper trains 200).
     pub rounds: usize,

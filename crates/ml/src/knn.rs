@@ -1,7 +1,6 @@
 //! K-nearest-neighbour regression: z-scored features, K = 5, mean
 //! aggregation — the `caret` configuration the paper evaluates.
 
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, FitError};
@@ -9,7 +8,7 @@ use crate::kdtree::KdTree;
 use crate::scaling::StandardScaler;
 
 /// KNN hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct KnnParams {
     /// Number of neighbours (the paper keeps caret's default K = 5).
     pub k: usize,

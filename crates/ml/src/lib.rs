@@ -27,8 +27,7 @@
 //! deliberately run with fixed default hyper-parameters (the paper's
 //! "no tuning" protocol). Fitted models additionally implement
 //! [`persist::Persist`], a hand-rolled checksummed little-endian codec
-//! whose round trip is bit-identical (no serde — the workspace shim is
-//! a no-op).
+//! whose round trip is bit-identical (no serde).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

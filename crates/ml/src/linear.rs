@@ -2,14 +2,13 @@
 //! cannot capture the non-linear runtime surfaces (kept to reproduce the
 //! rejection).
 
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, FitError};
 use crate::linalg::{solve_spd_with_jitter, Mat};
 
 /// Linear model parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LinearParams {
     /// Ridge strength.
     pub ridge: f64,
@@ -25,7 +24,7 @@ impl Default for LinearParams {
 }
 
 /// A fitted linear model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinearModel {
     beta: Vec<f64>,
     log_target: bool,

@@ -1,6 +1,5 @@
 //! Unified learner/model façade used by the selection framework.
 
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::FitError;
@@ -15,7 +14,7 @@ use crate::linear::{LinearModel, LinearParams};
 /// The three paper learners are [`Learner::knn`], [`Learner::gam`] and
 /// [`Learner::xgboost`]; [`Learner::forest`] and [`Learner::linear`] are
 /// the rejected baselines.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum Learner {
     /// K-nearest neighbours.
     Knn(KnnParams),

@@ -1,7 +1,7 @@
 //! Versioned binary persistence for fitted models.
 //!
-//! The format is deliberately hand-rolled (the workspace's serde is a
-//! no-op shim): little-endian scalars, `u64` length prefixes on every
+//! The format is deliberately hand-rolled (the workspace has no
+//! serde): little-endian scalars, `u64` length prefixes on every
 //! variable-length field, and a fixed frame around each artifact —
 //!
 //! ```text

@@ -1,11 +1,10 @@
 //! Feature standardization (z-scores), as the paper applies before KNN.
 
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 
 /// Per-feature mean/standard-deviation scaler.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StandardScaler {
     mean: Vec<f64>,
     std: Vec<f64>,

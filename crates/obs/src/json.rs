@@ -1,6 +1,6 @@
 //! A minimal JSON parser — enough to validate and re-read the files
-//! this crate emits (the vendored serde shim does not serialize, so
-//! the observability layer carries its own reader).
+//! this crate emits (the workspace has no serde, so the observability
+//! layer carries its own reader).
 //!
 //! Supports the full JSON grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null); numbers are parsed as `f64`.

@@ -14,7 +14,7 @@
 //! * [`provenance`] — a run-provenance stamp (git SHA, config, seed,
 //!   wall-clock time) for benchmark and experiment outputs.
 //! * [`json`] — a minimal JSON parser used to validate and re-read the
-//!   emitted files (the vendored serde shim does not serialize).
+//!   emitted files (the workspace has no serde).
 //! * [`window`] — rolling-window recorders over an injectable
 //!   [`clock`]: per-window rates, live p50/p95/p99, SLO burn-rate.
 //! * [`flight`] — a bounded ring of recent events dumped as a

@@ -7,12 +7,11 @@
 //! single-rail InfiniBand QDR fabric and slower (AMD Opteron) cores;
 //! SuperMUC-NG is a large OmniPath system with 48-core Skylake nodes.
 
-use serde::{Deserialize, Serialize};
 
 use crate::model::NetworkModel;
 
 /// A named machine: node/core limits plus a [`NetworkModel`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Machine {
     /// Human-readable machine name (matches the paper: Hydra, Jupiter,
     /// SuperMUC-NG).

@@ -23,7 +23,6 @@
 //! sensitivity that the paper's selection problem hinges on: with 32 ranks
 //! per node, 32 concurrent inter-node flows share the same rails.
 
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
@@ -32,7 +31,7 @@ use crate::time::SimTime;
 /// Bandwidth parameters are expressed as seconds **per byte** (`beta_*`),
 /// latencies and overheads in seconds. See the module docs for how they
 /// combine.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Inter-node wire latency (seconds).
     pub alpha_inter: f64,

@@ -11,7 +11,6 @@
 //! segment its own matching stream; generators must leave enough tag space
 //! between different `tag_base`s (see [`TAG_STRIDE`]).
 
-use serde::{Deserialize, Serialize};
 
 use crate::topology::Rank;
 
@@ -24,7 +23,7 @@ pub type Tag = u32;
 pub const TAG_STRIDE: u32 = 1 << 20;
 
 /// How the per-iteration byte count of a [`Instr::Loop`] is derived.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LoopBytes {
     /// A `total`-byte buffer cut into `seg`-byte segments; the final
     /// iteration carries the remainder. The iteration count is
@@ -68,7 +67,7 @@ pub fn num_segments(total: u64, seg: u64) -> u32 {
 /// One instruction inside a segment loop. Peers are fixed across
 /// iterations (only tags and byte counts vary) — this is what makes loops
 /// O(1) in memory regardless of segment count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SegInstr {
     /// Blocking send of the iteration's bytes to `peer`, tag
     /// `tag_base + k`.
@@ -93,7 +92,7 @@ pub enum SegInstr {
 }
 
 /// A per-rank instruction.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// Blocking standard-mode send. Eager messages complete when injected;
     /// rendezvous messages complete when the payload has drained at the
@@ -160,7 +159,7 @@ impl Instr {
 }
 
 /// A full per-rank program.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Program {
     instrs: Vec<Instr>,
 }

@@ -1,11 +1,10 @@
 //! Simulation results and statistics.
 
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// Outcome of one collective simulation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimResult {
     /// Per-rank completion time of the rank's whole program.
     pub finish: Vec<SimTime>,

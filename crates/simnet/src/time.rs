@@ -12,18 +12,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// `SimTime` is used both for absolute timestamps and for durations; the
 /// arithmetic provided is the small closed set needed by the engine.
-#[derive(
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -13,7 +13,7 @@ pub type Rank = u32;
 pub type NodeId = u32;
 
 /// Block-wise rank-to-node mapping for `nodes × ppn` processes.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     nodes: u32,
     ppn: u32,
