@@ -1,10 +1,9 @@
 //! Per-learner model-fitting time on a runtime-surface dataset (one
-//! model of the paper's per-configuration ensemble), including the
-//! exact-vs-histogram GBT kernel comparison.
+//! model of the paper's per-configuration ensemble).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpcp_bench::training_dataset;
-use mpcp_ml::gbt::{GbtParams, TreeMethod};
+use mpcp_ml::gbt::GbtParams;
 use mpcp_ml::Learner;
 
 fn bench(c: &mut Criterion) {
@@ -12,23 +11,12 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("learner_fit_600rows");
     g.sample_size(10);
     // 50 boosting rounds keeps the bench turnaround sane; scale by 4
-    // for the paper's 200 rounds. Both GBT split kernels are measured:
-    // `hist` is the default, `exact` the reference baseline it must beat.
-    let xgb_hist = Learner::Xgb(GbtParams {
-        rounds: 50,
-        tree_method: TreeMethod::Hist,
-        ..GbtParams::default()
-    });
-    let xgb_exact = Learner::Xgb(GbtParams {
-        rounds: 50,
-        tree_method: TreeMethod::Exact,
-        ..GbtParams::default()
-    });
+    // for the paper's 200 rounds.
+    let xgb = Learner::Xgb(GbtParams { rounds: 50, ..GbtParams::default() });
     for (name, learner) in [
         ("KNN", Learner::knn()),
         ("GAM", Learner::gam()),
-        ("XGBoost-hist", xgb_hist),
-        ("XGBoost-exact", xgb_exact),
+        ("XGBoost", xgb),
         ("RandomForest", Learner::forest()),
         ("Linear", Learner::linear()),
     ] {

@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, OnceLock};
 
 use mpcp_collectives::{AlgorithmConfig, MakespanMemo, MpiLibrary};
 use mpcp_simnet::{Machine, SimTime, Topology};
@@ -164,65 +164,81 @@ impl StealQueues {
     }
 }
 
-/// The work-stealing chunk scheduler shared by [`run_campaign`] and
-/// [`DatasetSpec::generate_with_faults`].
+/// Worker count for in-process fan-out: the host's available
+/// parallelism (1 when it cannot be read), read once per process —
+/// the query walks cgroup files, too slow for every batched select.
+/// [`schedule_chunks`] output never depends on it.
+pub fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The work-stealing chunk scheduler shared by [`run_campaign`],
+/// [`DatasetSpec::generate_with_faults`] and the selection layer's
+/// per-configuration fits and batched queries.
 ///
 /// Measures every chunk index in `chunks` with `measure` on `threads`
 /// workers and hands the results to `commit` on the calling thread,
 /// strictly in ascending chunk order. Chunks are dealt onto the worker
 /// deques in descending `cost` (ties in index order), so the costliest
 /// chunks start first and the tail of the run is made of cheap ones;
-/// `cost` only orders the work and never reaches `commit`. The first
-/// commit error stops the workers and is returned; otherwise the
-/// result is the number of chunks stolen.
-pub(crate) fn schedule_chunks<T: Send, E>(
+/// `cost` only orders the work and never reaches `commit`. With one
+/// worker or at most one chunk, everything runs on the calling thread
+/// in chunk order and no thread is spawned. The first commit error
+/// stops the workers and is returned; otherwise the result is the
+/// number of chunks stolen.
+pub fn schedule_chunks<T: Send, E>(
     chunks: Range<u64>,
     threads: usize,
     cost: impl Fn(u64) -> u64,
     measure: impl Fn(u64) -> T + Sync,
     mut commit: impl FnMut(T) -> Result<(), E>,
 ) -> Result<u64, E> {
+    if threads <= 1 || chunks.end.saturating_sub(chunks.start) <= 1 {
+        for index in chunks {
+            commit(measure(index))?;
+        }
+        return Ok(0);
+    }
     let mut order: Vec<u64> = chunks.clone().collect();
     order.sort_by_key(|&c| std::cmp::Reverse(cost(c)));
-    let workers = threads.clamp(1, order.len().max(1));
+    let workers = threads.min(order.len());
     let queues = StealQueues::deal(&order, workers);
     let mut result = Ok(());
-    if !order.is_empty() {
-        let (tx, rx) = mpsc::channel::<(u64, T)>();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let queues = &queues;
-                let measure = &measure;
-                scope.spawn(move || {
-                    while let Some(index) = queues.next(w) {
-                        // A send error means the committer stopped
-                        // (commit failure); stop measuring.
-                        if tx.send((index, measure(index))).is_err() {
-                            break;
-                        }
+    let (tx, rx) = mpsc::channel::<(u64, T)>();
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let tx = tx.clone();
+            let queues = &queues;
+            let measure = &measure;
+            scope.spawn(move || {
+                while let Some(index) = queues.next(w) {
+                    // A send error means the committer stopped
+                    // (commit failure); stop measuring.
+                    if tx.send((index, measure(index))).is_err() {
+                        break;
                     }
-                });
-            }
-            drop(tx);
-            // Committer: buffer out-of-order chunks, commit in order and
-            // drop each one as soon as it is committed.
-            let mut pending: BTreeMap<u64, T> = BTreeMap::new();
-            let mut next = chunks.start;
-            'commit: while let Ok((index, chunk)) = rx.recv() {
-                pending.insert(index, chunk);
-                while let Some(chunk) = pending.remove(&next) {
-                    if let Err(e) = commit(chunk) {
-                        result = Err(e);
-                        break 'commit;
-                    }
-                    next += 1;
                 }
+            });
+        }
+        drop(tx);
+        // Committer: buffer out-of-order chunks, commit in order and
+        // drop each one as soon as it is committed.
+        let mut pending: BTreeMap<u64, T> = BTreeMap::new();
+        let mut next = chunks.start;
+        'commit: while let Ok((index, chunk)) = rx.recv() {
+            pending.insert(index, chunk);
+            while let Some(chunk) = pending.remove(&next) {
+                if let Err(e) = commit(chunk) {
+                    result = Err(e);
+                    break 'commit;
+                }
+                next += 1;
             }
-            // Dropping rx unblocks any worker parked in send().
-            drop(rx);
-        });
-    }
+        }
+        // Dropping rx unblocks any worker parked in send().
+        drop(rx);
+    });
     result.map(|()| queues.steals.load(Ordering::Relaxed))
 }
 

@@ -14,7 +14,7 @@ use mpcp_collectives::{Collective, MpiLibrary};
 use mpcp_collectives::decision::TuningGrid;
 use mpcp_simnet::{Machine, SimTime};
 
-use crate::campaign::{schedule_chunks, ChunkJob, Tally};
+use crate::campaign::{default_threads, schedule_chunks, ChunkJob, Tally};
 use crate::cells::CellGrid;
 use crate::fault::{FaultPlan, FaultSummary, RetryPolicy};
 use crate::record::{read_csv, write_csv, Record};
@@ -318,7 +318,7 @@ impl DatasetSpec {
     /// runner's work-stealing scheduler, one topology group
     /// ([`CellGrid::group_len`] cells: every configuration at every
     /// message size of one `(nodes, ppn)`) per chunk, on
-    /// `std::thread::available_parallelism` workers that start with the
+    /// [`crate::campaign::default_threads`] workers that start with the
     /// largest topologies. Each chunk keeps one
     /// [`mpcp_collectives::MakespanMemo`], so a configuration that
     /// compiles to the same programs as an earlier one in its group
@@ -341,7 +341,7 @@ impl DatasetSpec {
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
     ) -> DatasetResult {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = default_threads();
         let grid = self.cell_grid(library);
         let job = ChunkJob {
             chunk_size: grid.group_len().max(1),

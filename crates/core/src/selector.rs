@@ -16,13 +16,14 @@
 //! [`Selector::select_with_fallback`] falls back to the library's
 //! hard-coded decision logic and marks the result as degraded.
 
+use std::convert::Infallible;
 use std::fmt;
 
+use mpcp_benchmark::campaign::{default_threads, schedule_chunks};
 use mpcp_benchmark::Record;
 use mpcp_collectives::{AlgorithmConfig, MpiLibrary};
 use mpcp_ml::{Dataset, FitError, Learner, Model};
 use mpcp_simnet::Topology;
-use rayon::prelude::*;
 
 use crate::instance::{Instance, NUM_FEATURES};
 
@@ -266,10 +267,17 @@ impl Selector {
             records_used += 1;
         }
         let min_samples = opts.min_samples.max(1);
-        let fitted: Vec<(Option<Model>, ConfigCoverage)> = per_uid
-            .par_iter()
-            .enumerate()
-            .map(|(uid, data)| {
+        // One chunk per configuration on the campaign scheduler, the
+        // largest datasets first; results commit in uid order.
+        let mut models = Vec::with_capacity(configs.len());
+        let mut coverage = Vec::with_capacity(configs.len());
+        let Ok(_steals) = schedule_chunks(
+            0..per_uid.len() as u64,
+            default_threads(),
+            |uid| per_uid[uid as usize].len() as u64,
+            |uid| {
+                let uid = uid as usize;
+                let data = &per_uid[uid];
                 if configs[uid].excluded {
                     return (None, ConfigCoverage::Excluded);
                 }
@@ -289,14 +297,13 @@ impl Selector {
                     Ok(m) => (Some(m), ConfigCoverage::Trained { samples: data.len() }),
                     Err(e) => (None, ConfigCoverage::FitFailed { samples: data.len(), error: e }),
                 }
-            })
-            .collect();
-        let mut models = Vec::with_capacity(fitted.len());
-        let mut coverage = Vec::with_capacity(fitted.len());
-        for (m, c) in fitted {
-            models.push(m);
-            coverage.push(c);
-        }
+            },
+            |(m, c)| {
+                models.push(m);
+                coverage.push(c);
+                Ok::<(), Infallible>(())
+            },
+        );
         let trained = models.iter().filter(|m| m.is_some()).count();
         if trained == 0 {
             return Err(SelectorError::NoTrainedModels {
@@ -436,13 +443,14 @@ impl Selector {
     /// applied to a block of instances at once.
     ///
     /// The feature matrix is assembled once (row-major) and split into
-    /// row tiles processed in parallel. Within a tile, every model
-    /// evaluates the rows through its batch kernel into one reusable
-    /// scratch buffer and the predictions fold straight into a fused
-    /// per-row `(best, runner_up)` — no per-model prediction vectors are
-    /// ever materialized. Agrees elementwise with calling
-    /// [`Selector::select`] in a loop (ties broken toward the lower
-    /// uid, which is also the order `predict_all` yields).
+    /// row tiles fanned out on the campaign scheduler (a single tile —
+    /// any batch of up to 256 rows — runs on the calling thread). Within
+    /// a tile, every model evaluates the rows through its batch kernel
+    /// into one reusable scratch buffer and the predictions fold
+    /// straight into a fused per-row `(best, runner_up)` — no per-model
+    /// prediction vectors are ever materialized. Agrees elementwise with
+    /// calling [`Selector::select`] in a loop (ties broken toward the
+    /// lower uid, which is also the order `predict_all` yields).
     pub fn select_batch(&self, instances: &[Instance]) -> Vec<(u32, f64)> {
         /// Rows per parallel tile: large enough to amortize the lockstep
         /// tree kernels, small enough that the scratch buffer stays in L1.
@@ -463,10 +471,14 @@ impl Selector {
         /// runner-up predictions feeding the margin histogram.
         type Tile = (Vec<(u32, f64)>, Vec<f64>);
         let ntiles = instances.len().div_ceil(TILE);
-        let tiles: Vec<Tile> = (0..ntiles)
-            .into_par_iter()
-            .map(|tile| {
-                let start = tile * TILE;
+        let mut best: Vec<(u32, f64)> = Vec::with_capacity(instances.len());
+        let mut runner_up: Vec<f64> = Vec::with_capacity(instances.len());
+        let Ok(_steals) = schedule_chunks(
+            0..ntiles as u64,
+            default_threads(),
+            |_| 0,
+            |tile| -> Tile {
+                let start = tile as usize * TILE;
                 let len = TILE.min(instances.len() - start);
                 let xs_tile = &xs[start * NUM_FEATURES..][..len * NUM_FEATURES];
                 let mut bests = vec![(u32::MAX, f64::INFINITY); len];
@@ -492,14 +504,13 @@ impl Selector {
                     }
                 }
                 (bests, seconds)
-            })
-            .collect();
-        let mut best: Vec<(u32, f64)> = Vec::with_capacity(instances.len());
-        let mut runner_up: Vec<f64> = Vec::with_capacity(instances.len());
-        for (bests, seconds) in tiles {
-            best.extend_from_slice(&bests);
-            runner_up.extend_from_slice(&seconds);
-        }
+            },
+            |(bests, seconds)| {
+                best.extend_from_slice(&bests);
+                runner_up.extend_from_slice(&seconds);
+                Ok::<(), Infallible>(())
+            },
+        );
         assert!(
             instances.is_empty() || best[0].0 != u32::MAX,
             "selector has no trained models"

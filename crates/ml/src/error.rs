@@ -38,6 +38,14 @@ pub enum FitError {
         /// Learner display name.
         learner: &'static str,
     },
+    /// The fitted tree ensemble exceeds the packed traversal layout
+    /// ([`crate::flat::LayoutError`]), e.g. too many nodes.
+    EnsembleLayout {
+        /// Learner display name.
+        learner: &'static str,
+        /// The layout limit that was exceeded.
+        detail: String,
+    },
 }
 
 impl FitError {
@@ -47,7 +55,8 @@ impl FitError {
             FitError::EmptyDataset { learner }
             | FitError::TooFewRows { learner, .. }
             | FitError::NonPositiveTarget { learner }
-            | FitError::NonFiniteData { learner } => learner,
+            | FitError::NonFiniteData { learner }
+            | FitError::EnsembleLayout { learner, .. } => learner,
         }
     }
 }
@@ -66,6 +75,9 @@ impl fmt::Display for FitError {
             }
             FitError::NonFiniteData { learner } => {
                 write!(f, "{learner}: dataset contains NaN or infinite values")
+            }
+            FitError::EnsembleLayout { learner, detail } => {
+                write!(f, "{learner}: fitted ensemble exceeds the packed tree layout: {detail}")
             }
         }
     }
@@ -94,6 +106,11 @@ impl crate::persist::Persist for FitError {
                 w.put_u8(3);
                 w.put_str(learner);
             }
+            FitError::EnsembleLayout { learner, detail } => {
+                w.put_u8(4);
+                w.put_str(learner);
+                w.put_str(detail);
+            }
         }
     }
 
@@ -114,6 +131,7 @@ impl crate::persist::Persist for FitError {
             }
             2 => FitError::NonPositiveTarget { learner },
             3 => FitError::NonFiniteData { learner },
+            4 => FitError::EnsembleLayout { learner, detail: r.get_string()? },
             b => return Err(CodecError::invalid(format!("fit-error tag {b}"))),
         })
     }
@@ -172,5 +190,18 @@ mod tests {
             validate("X", &neg, true),
             Err(FitError::NonPositiveTarget { learner: "X" })
         );
+    }
+
+    #[test]
+    fn ensemble_layout_errors_round_trip() {
+        use crate::persist::{ByteReader, ByteWriter, Persist};
+        let e = FitError::EnsembleLayout {
+            learner: "XGBoost",
+            detail: "split feature 300 exceeds the limit of 255".into(),
+        };
+        let mut w = ByteWriter::new();
+        e.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(FitError::decode(&mut ByteReader::new(&bytes)), Ok(e));
     }
 }

@@ -2,18 +2,17 @@
 //! scalar inference.
 //!
 //! [`crate::tree::GradTree`] stores nodes as a `Vec` of structs, which
-//! is fine for growing but wasteful to traverse. Earlier revisions of
-//! this module packed nodes into 16-byte array-of-structs records; the
-//! current layout goes one step further and splits every node field
-//! into its own cache-aligned array — thresholds, split features, and
-//! the two child indices live in parallel `Vec`s ([`FlatTrees`]). A
-//! traversal step then touches only the arrays it needs, the per-array
-//! stride is minimal (1–8 bytes instead of 16), and the fixed-depth
-//! lockstep loops below compile to straight-line compare/select code
-//! the backend can unroll and vectorize.
+//! is fine for growing but wasteful to traverse. [`FlatTrees`] splits
+//! every node field into its own array — thresholds, split features,
+//! left-child indices and leaf values live in parallel `Vec`s — and
+//! traversal reads only one of them: a packed 4-byte word per node
+//! (split feature, threshold bin, left child; see [`BinPlan`]). The
+//! fixed-depth lockstep loops below compile to straight-line
+//! compare/select code the backend can unroll and vectorize.
 //!
 //! Leaves are encoded as **self-loops**: a leaf routes every row back
-//! to itself (`feat = 0`, `thresh = +∞`, `left = right = self`).
+//! to itself (`feat = 0`, `thresh = +∞`, `left = self`, and a reserved
+//! bin in its packed word — see [`BinPlan::meta`]).
 //! Together with the stored per-tree depth this removes the
 //! am-I-at-a-leaf branch from lockstep traversal entirely: stepping any
 //! cursor exactly `depth` times is guaranteed to land (and stay) on its
@@ -26,28 +25,30 @@
 //! Histogram training ([`crate::hist`]) already quantizes every feature
 //! into at most [`BinnedDataset::MAX_BINS`] = 256 buckets, so the
 //! thresholds of a hist-grown ensemble are drawn from ≤ 255 distinct
-//! cut values per feature. [`FlatTrees::from_trees`] detects this and
-//! precomputes a [`BinPlan`]: each node's threshold becomes a `u8` bin
-//! index packed — together with the split feature and left-child index
-//! — into a single `u32` word, and a query row is quantized once (a
-//! short branchless binary search per feature) so a traversal step on
-//! the hot path is exactly two loads: the node word and one quantized
-//! byte. The plan is *exact*, not approximate: `x <= thresh`
-//! and `bin(x) <= bin(thresh)` decide identically for every `f64`
-//! (including NaN and ±∞ — see [`quantize_value`]), so binned and
-//! unbinned traversal land on the same leaves and all prediction paths
-//! stay bitwise identical. Ensembles whose thresholds do not fit the
-//! bin budget (e.g. exact-method training on large data) simply carry
-//! no plan and use the f64 arrays.
+//! cut values per feature. [`FlatTrees::from_trees`] therefore always
+//! builds a [`BinPlan`]: each node's threshold becomes a `u8` bin index
+//! packed — together with the split feature and left-child index — into
+//! a single `u32` word, and a query row is quantized once (a short
+//! branch-free count per feature) so a traversal step is exactly two
+//! loads: the node word and one quantized byte. The plan is *exact*, not
+//! approximate: `x <= thresh` and `bin(x) <= bin(thresh)` decide
+//! identically for every `f64` (including NaN and ±∞ — see
+//! [`quantize_value`]), so the binned kernels land on the same leaves as
+//! an f64 walk ([`FlatTrees::predict_one_from_unbinned`], the test
+//! reference) and all prediction paths stay bitwise identical. An
+//! ensemble the packed word cannot hold is a [`LayoutError`], never a
+//! second kernel.
 //!
 //! Both kernels are **total over non-finite feature values**: a NaN
-//! compares "greater" (routes right, as in XGBoost), and the explicit
-//! `right` array means a parked leaf cursor stays parked no matter what
-//! the comparison says. Derived state (`right`, `depth`, the bin plan)
-//! is never trusted from the wire — the persist decoder rebuilds it
-//! deterministically after validating the node topology.
+//! compares "greater" (routes right, as in XGBoost), and a leaf's
+//! reserved bin keeps a parked cursor parked no matter what the row
+//! holds. Derived state (`depth`, the bin plan) is never trusted from
+//! the wire — the persist decoder rebuilds it deterministically after
+//! validating the node topology.
 //!
 //! [`BinnedDataset::MAX_BINS`]: crate::hist::BinnedDataset::MAX_BINS
+
+use std::fmt;
 
 use crate::tree::{GradTree, LEAF};
 
@@ -55,11 +56,6 @@ use crate::tree::{GradTree, LEAF};
 /// trees in the scalar kernel. Big enough to hide load latency behind
 /// independent work, small enough that cursor state stays in registers.
 const BLOCK: usize = 16;
-
-/// Scalar queries with at most this many features are quantized into a
-/// stack buffer; wider rows fall back to unbinned traversal rather than
-/// allocating per call (the paper's feature space has 4 features).
-const QROW_STACK: usize = 16;
 
 /// The bin index stored for leaf nodes and assigned to NaN feature
 /// values. Internal nodes always bin below it (a plan holds at most
@@ -129,9 +125,9 @@ struct BinPlan {
     /// The word is deliberately 4 bytes, not 8: an argmin selector
     /// walks every model's ensemble per uncached query, so the
     /// traversal working set is what the kernels are bound by. That
-    /// caps a binnable ensemble at [`MAX_META_NODES`] nodes and
-    /// [`MAX_META_FEAT`] split features — bigger ensembles simply
-    /// skip the plan and take the f64 path.
+    /// caps an ensemble at [`MAX_META_NODES`] nodes and
+    /// [`MAX_META_FEAT`] as its largest split feature — bigger
+    /// ensembles are a [`LayoutError`].
     meta: Vec<u32>,
 }
 
@@ -139,9 +135,62 @@ struct BinPlan {
 /// (8 bits, i.e. `u8::MAX` — the paper's feature space has 4).
 const MAX_META_FEAT: u32 = 0xff;
 
+/// Features a query row can be quantized into: one per value of the
+/// packed word's feature field, so the scalar kernel's stack buffer
+/// holds every row an ensemble can index.
+const QROW_STACK: usize = MAX_META_FEAT as usize + 1;
+
 /// Largest node count whose indices fit the packed word's 16-bit
 /// child field (index ≤ 65535).
 const MAX_META_NODES: usize = 1 << 16;
+
+/// Why an ensemble does not fit the packed [`BinPlan`] layout.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LayoutError {
+    /// More nodes than the 16-bit child field addresses.
+    TooManyNodes {
+        /// Nodes in the ensemble.
+        nodes: usize,
+    },
+    /// A split feature above the 8-bit feature field.
+    FeatureTooHigh {
+        /// The offending feature index.
+        feat: u32,
+    },
+    /// More distinct thresholds on one feature than the `u8` bins hold.
+    TooManyCuts {
+        /// Feature index.
+        feat: usize,
+        /// Distinct thresholds on it.
+        cuts: usize,
+    },
+    /// A split threshold is NaN or infinite.
+    NonFiniteThreshold {
+        /// Node index.
+        node: usize,
+    },
+}
+
+impl fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LayoutError::TooManyNodes { nodes } => {
+                write!(f, "{nodes} tree nodes exceed the limit of {MAX_META_NODES}")
+            }
+            LayoutError::FeatureTooHigh { feat } => {
+                write!(f, "split feature {feat} exceeds the limit of {MAX_META_FEAT}")
+            }
+            LayoutError::TooManyCuts { feat, cuts } => {
+                write!(f, "feature {feat} has {cuts} distinct thresholds, more than {MAX_CUTS}")
+            }
+            LayoutError::NonFiniteThreshold { node } => {
+                write!(f, "node {node} has a non-finite split threshold")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LayoutError {}
 
 /// Bin of one query value within a feature's sorted cut set: the count
 /// of cuts strictly below `x`, or [`LEAF_BIN`] for NaN.
@@ -160,13 +209,15 @@ fn quantize_value(cuts: &[f64], x: f64) -> u8 {
     // the branch-free independent compares vectorize, where a search's
     // probes are serially dependent loads with a mispredict per level.
     let below: usize = cuts.iter().map(|&c| usize::from(c < x)).sum();
-    // `below <= cuts.len() <= MAX_CUTS < 255`: the fallback is
-    // unreachable, but keeps the conversion total without a panic path.
+    // `below <= cuts.len() <= MAX_CUTS == 255` fits a `u8` (255, above
+    // every cut, routes right at every internal node, as NaN does): the
+    // fallback is unreachable, but keeps the conversion total without a
+    // panic path.
     u8::try_from(below).unwrap_or(LEAF_BIN)
 }
 
 /// An ensemble of regression trees packed into parallel per-field
-/// arrays (structure-of-arrays), with an optional exact [`BinPlan`].
+/// arrays (structure-of-arrays), with its exact [`BinPlan`].
 #[derive(Clone, Debug, Default)]
 pub struct FlatTrees {
     /// Split threshold per node (`x[feat] <= thresh` routes left);
@@ -174,26 +225,23 @@ pub struct FlatTrees {
     thresh: Vec<f64>,
     /// Split feature per node; leaves store 0 (self-loop encoding).
     feat: Vec<u32>,
-    /// Absolute index of the left child; leaves store their own index,
-    /// so `left == self` identifies a leaf and traversal parks there.
+    /// Absolute index of the left child (the right child is `left + 1`:
+    /// the growers allocate children adjacently); leaves store their
+    /// own index, so `left == self` identifies a leaf.
     left: Vec<u32>,
-    /// Absolute index of the right child (`left + 1` for internal
-    /// nodes — the growers allocate children adjacently); leaves store
-    /// their own index so even a "route right" comparison outcome (a
-    /// NaN feature) keeps the cursor parked. Derived, not serialized.
-    right: Vec<u32>,
     /// Leaf value per node (already scaled by the caller's factor).
     value: Vec<f64>,
     /// Root node index of each tree.
     roots: Vec<u32>,
     /// Depth of each tree: traversal steps that guarantee leaf arrival.
     depth: Vec<u32>,
-    /// Largest split-feature index across all nodes; lets the kernels
-    /// validate feature accesses once per call instead of per step.
+    /// Largest split-feature index over internal nodes; lets the
+    /// kernels validate feature accesses once per call instead of per
+    /// step.
     max_feat: u32,
-    /// Exact u8 quantization of the thresholds, when they fit the
-    /// 256-bin space histogram training draws them from.
-    bins: Option<BinPlan>,
+    /// Exact u8 quantization of the thresholds — the layout both
+    /// kernels traverse.
+    bins: BinPlan,
 }
 
 impl FlatTrees {
@@ -222,7 +270,13 @@ impl FlatTrees {
     /// run. Ensemble sums are order-sensitive only in their f64
     /// rounding; all prediction paths walk the stored order, so they
     /// stay bitwise identical to each other.
-    pub fn from_trees<'a>(trees: impl IntoIterator<Item = &'a GradTree>, scale: f64) -> FlatTrees {
+    ///
+    /// Fails with a [`LayoutError`] when the merged ensemble does not
+    /// fit the packed [`BinPlan`] word.
+    pub fn from_trees<'a>(
+        trees: impl IntoIterator<Item = &'a GradTree>,
+        scale: f64,
+    ) -> Result<FlatTrees, LayoutError> {
         let mut by_depth: Vec<&GradTree> = trees.into_iter().collect();
         by_depth.sort_by_key(|t| grad_tree_depth(t));
         let mut flat = FlatTrees::default();
@@ -233,6 +287,10 @@ impl FlatTrees {
                     continue;
                 }
             }
+            let nodes = flat.thresh.len() + tree.nodes.len();
+            if nodes > MAX_META_NODES {
+                return Err(LayoutError::TooManyNodes { nodes });
+            }
             flat.roots.push(base);
             for (i, node) in tree.nodes.iter().enumerate() {
                 let leaf = node.left == LEAF;
@@ -240,7 +298,7 @@ impl FlatTrees {
                     // The growers allocate children adjacently and
                     // in-range; the packed layout (and the unchecked
                     // lockstep traversal) depend on it.
-                    debug_assert_eq!(node.right, node.left + 1, "node {i} children not adjacent");
+                    assert_eq!(node.right, node.left + 1, "node {i} children not adjacent");
                     assert!((node.right as usize) < tree.nodes.len(), "node {i} child out of range");
                     flat.max_feat = flat.max_feat.max(node.feat);
                 }
@@ -248,13 +306,12 @@ impl FlatTrees {
                 flat.thresh.push(if leaf { f64::INFINITY } else { node.thresh });
                 flat.feat.push(if leaf { 0 } else { node.feat });
                 flat.left.push(if leaf { me } else { base + node.left });
-                flat.right.push(if leaf { me } else { base + node.right });
                 flat.value.push(node.value * scale);
             }
             flat.depth.push(flat.tree_depth(base as usize));
         }
-        flat.bins = flat.build_bin_plan();
-        flat
+        flat.bins = flat.build_bin_plan()?;
+        Ok(flat)
     }
 
     /// If `tree` has exactly the structure of the already-flattened
@@ -314,14 +371,16 @@ impl FlatTrees {
         }
     }
 
-    /// Build the exact u8 quantization, or `None` when any feature's
-    /// distinct internal thresholds exceed the [`MAX_CUTS`] budget (or
-    /// a threshold is non-finite, which the greedy growers never emit).
-    fn build_bin_plan(&self) -> Option<BinPlan> {
-        let fcount = self.fcount();
-        if fcount == 0 || self.max_feat > MAX_META_FEAT || self.thresh.len() > MAX_META_NODES {
-            return None;
+    /// Build the exact u8 quantization of a flattened ensemble of at
+    /// most [`MAX_META_NODES`] nodes (the callers check that). Fails
+    /// when a split feature exceeds [`MAX_META_FEAT`], a feature's
+    /// distinct thresholds exceed [`MAX_CUTS`], or a threshold is
+    /// non-finite (which the greedy growers never emit).
+    fn build_bin_plan(&self) -> Result<BinPlan, LayoutError> {
+        if self.max_feat > MAX_META_FEAT {
+            return Err(LayoutError::FeatureTooHigh { feat: self.max_feat });
         }
+        let fcount = self.fcount();
         let mut per_feat: Vec<Vec<f64>> = vec![Vec::new(); fcount];
         for i in 0..self.thresh.len() {
             if self.left[i] as usize == i {
@@ -329,18 +388,18 @@ impl FlatTrees {
             }
             let t = self.thresh[i];
             if !t.is_finite() {
-                return None;
+                return Err(LayoutError::NonFiniteThreshold { node: i });
             }
             per_feat[self.feat[i] as usize].push(t);
         }
         let mut cuts = Vec::new();
         let mut offset = Vec::with_capacity(fcount + 1);
         offset.push(0u32);
-        for col in &mut per_feat {
+        for (feat, col) in per_feat.iter_mut().enumerate() {
             col.sort_by(f64::total_cmp);
             col.dedup();
             if col.len() > MAX_CUTS {
-                return None;
+                return Err(LayoutError::TooManyCuts { feat, cuts: col.len() });
             }
             cuts.extend_from_slice(col);
             offset.push(idx32(cuts.len()));
@@ -363,7 +422,7 @@ impl FlatTrees {
             let bin = u8::try_from(j).unwrap_or(LEAF_BIN);
             meta.push(self.left[i] << 16 | self.feat[i] << 8 | u32::from(bin));
         }
-        Some(BinPlan { cuts, offset, meta })
+        Ok(BinPlan { cuts, offset, meta })
     }
 
     /// Number of trees.
@@ -374,12 +433,6 @@ impl FlatTrees {
     /// Total node count across trees.
     pub fn num_nodes(&self) -> usize {
         self.thresh.len()
-    }
-
-    /// Whether the ensemble's thresholds fit the ≤256-bin space and the
-    /// u8 fast path is active (always true for hist-grown boosters).
-    pub fn has_bin_plan(&self) -> bool {
-        self.bins.is_some()
     }
 
     /// Sum of (scaled) leaf values over all trees for one row.
@@ -393,11 +446,9 @@ impl FlatTrees {
     /// prediction path — so a scalar prediction seeded with the
     /// booster's base score is bitwise identical to the batched one.
     ///
-    /// With a bin plan the row is quantized once and the trees are
-    /// walked as [`BLOCK`]-wide lockstep cursor blocks over `u8`
-    /// arrays; otherwise each tree is walked by ordinary early-exit
-    /// f64 traversal. Both orders visit trees 0..n and add one leaf
-    /// value each, so the result is identical either way.
+    /// The row is quantized once into a stack buffer and the trees are
+    /// walked as [`BLOCK`]-wide lockstep cursor blocks over the packed
+    /// node words.
     pub fn predict_one_from(&self, x: &[f64], init: f64) -> f64 {
         let fcount = self.fcount();
         if fcount == 0 {
@@ -409,23 +460,19 @@ impl FlatTrees {
             self.max_feat,
             x.len()
         );
-        if let Some(plan) = &self.bins {
-            if fcount <= QROW_STACK {
-                let mut q = [0u8; QROW_STACK];
-                for (f, qv) in q.iter_mut().enumerate().take(fcount) {
-                    let col = &plan.cuts[plan.offset[f] as usize..plan.offset[f + 1] as usize];
-                    *qv = quantize_value(col, x[f]);
-                }
-                return self.predict_one_binned(&q[..fcount], init, plan);
-            }
+        // `fcount <= MAX_META_FEAT + 1 == QROW_STACK`: the plan exists,
+        // so `max_feat` passed its check.
+        let plan = &self.bins;
+        let mut q = [0u8; QROW_STACK];
+        for (f, qv) in q.iter_mut().enumerate().take(fcount) {
+            let col = &plan.cuts[plan.offset[f] as usize..plan.offset[f + 1] as usize];
+            *qv = quantize_value(col, x[f]);
         }
-        self.predict_one_from_unbinned(x, init)
+        self.predict_one_binned(&q[..fcount], init, plan)
     }
 
-    /// Unbinned (f64-comparison) scalar reference path. Public for the
-    /// layout micro-benchmarks and equivalence proptests; callers
-    /// normally use [`FlatTrees::predict_one_from`], which picks the
-    /// binned kernel when a plan exists. Bitwise identical to it.
+    /// Early-exit f64-comparison walk: the reference the equivalence
+    /// tests pin both binned kernels to, bitwise. Not a serving path.
     pub fn predict_one_from_unbinned(&self, x: &[f64], init: f64) -> f64 {
         let mut s = init;
         for &root in &self.roots {
@@ -437,7 +484,7 @@ impl FlatTrees {
                     break;
                 }
                 let go_left = x[self.feat[i] as usize] <= self.thresh[i];
-                i = if go_left { l } else { self.right[i] as usize };
+                i = if go_left { l } else { l + 1 };
             }
         }
         s
@@ -512,60 +559,44 @@ impl FlatTrees {
     /// Add each row's ensemble sum into `out` (`out[r] += Σ trees(x_r)`).
     ///
     /// `xs` is row-major with `nfeat` features per row; `out.len()` must
-    /// equal the row count. With a bin plan every row is quantized once
-    /// up front and traversal compares `u8`s; otherwise the f64 arrays
-    /// are used directly. Trees form the outer loop so each tree's
-    /// arrays stay cache-resident while rows stream through; rows go
-    /// through in blocks of [`BLOCK`] independent cursors stepped the
-    /// tree's depth in lockstep — leaf self-loops make the extra steps
-    /// of early-arriving rows free of branches, so the whole block runs
-    /// without data-dependent control flow.
+    /// equal the row count. Every row is quantized once up front and
+    /// traversal compares `u8`s. Trees form the outer loop so each
+    /// tree's node words stay cache-resident while rows stream through;
+    /// rows go through in blocks of [`BLOCK`] independent cursors
+    /// stepped the tree's depth in lockstep — leaf self-loops make the
+    /// extra steps of early-arriving rows free of branches, so the
+    /// whole block runs without data-dependent control flow.
     pub fn predict_batch_into(&self, xs: &[f64], nfeat: usize, out: &mut [f64]) {
-        self.check_batch_shape(xs, nfeat, out);
-        if self.thresh.is_empty() {
-            return;
-        }
-        if let Some(plan) = &self.bins {
-            let fcount = self.fcount();
-            let rows = out.len();
-            let mut q = vec![0u8; rows * fcount];
-            for r in 0..rows {
-                let row = &xs[r * nfeat..r * nfeat + fcount];
-                let qrow = &mut q[r * fcount..(r + 1) * fcount];
-                for f in 0..fcount {
-                    let col = &plan.cuts[plan.offset[f] as usize..plan.offset[f + 1] as usize];
-                    qrow[f] = quantize_value(col, row[f]);
-                }
-            }
-            self.batch_binned(&q, fcount, out, plan);
-        } else {
-            self.batch_unbinned(xs, nfeat, out);
-        }
-    }
-
-    /// Unbinned (f64-comparison) batch reference path. Public for the
-    /// layout micro-benchmarks and equivalence proptests; callers
-    /// normally use [`FlatTrees::predict_batch_into`], which picks the
-    /// binned kernel when a plan exists. Bitwise identical to it.
-    pub fn predict_batch_into_unbinned(&self, xs: &[f64], nfeat: usize, out: &mut [f64]) {
-        self.check_batch_shape(xs, nfeat, out);
-        if self.thresh.is_empty() {
-            return;
-        }
-        self.batch_unbinned(xs, nfeat, out);
-    }
-
-    fn check_batch_shape(&self, xs: &[f64], nfeat: usize, out: &[f64]) {
         assert!(nfeat > 0, "nfeat must be positive");
         assert_eq!(xs.len(), out.len() * nfeat, "row-major shape mismatch");
+        if self.thresh.is_empty() {
+            return;
+        }
         assert!(
-            self.thresh.is_empty() || (self.max_feat as usize) < nfeat,
+            (self.max_feat as usize) < nfeat,
             "model uses feature {} but rows have only {nfeat}",
             self.max_feat,
         );
+        let plan = &self.bins;
+        let fcount = self.fcount();
+        let rows = out.len();
+        let mut q = vec![0u8; rows * fcount];
+        for r in 0..rows {
+            let row = &xs[r * nfeat..r * nfeat + fcount];
+            let qrow = &mut q[r * fcount..(r + 1) * fcount];
+            for f in 0..fcount {
+                let col = &plan.cuts[plan.offset[f] as usize..plan.offset[f + 1] as usize];
+                qrow[f] = quantize_value(col, row[f]);
+            }
+        }
+        self.batch_binned(&q, fcount, out, plan);
     }
 
-    fn batch_unbinned(&self, xs: &[f64], nfeat: usize, out: &mut [f64]) {
+    /// Binned batch kernel over pre-quantized rows (`q` is row-major,
+    /// `fcount` bins per row). Each step loads one packed node word and
+    /// one quantized byte, and the next cursor is pure arithmetic on
+    /// them.
+    fn batch_binned(&self, q: &[u8], fcount: usize, out: &mut [f64], plan: &BinPlan) {
         let rows = out.len();
         let full = rows - rows % BLOCK;
         for (t, &root) in self.roots.iter().enumerate() {
@@ -586,74 +617,13 @@ impl FlatTrees {
                         // SAFETY: `*i` is `root` or a child index; both
                         // are < `num_nodes` by construction (checked in
                         // `from_trees`, validated by the decoder), and
-                        // every per-node array has `num_nodes` entries.
-                        // The feature index is ≤ `max_feat` < `nfeat`
-                        // (asserted on entry) and `r0 + b` < `full` ≤
-                        // `rows`, so the `xs` index is < `rows * nfeat`
-                        // = `xs.len()` (asserted on entry). Eliding the
-                        // per-step bounds checks matters: the kernel is
+                        // `plan.meta` has `num_nodes` entries. The
+                        // unpacked feature index is ≤ `max_feat` <
+                        // `fcount` and `r0 + b` < `rows`, so the `q`
+                        // index is < `rows * fcount` = `q.len()` (built
+                        // that way one frame up). Eliding the per-step
+                        // bounds checks matters: the kernel is
                         // load-throughput bound.
-                        let (go_left, l, r) = unsafe {
-                            let f = *self.feat.get_unchecked(*i) as usize;
-                            let x = *xs.get_unchecked((r0 + b) * nfeat + f);
-                            (
-                                x <= *self.thresh.get_unchecked(*i),
-                                *self.left.get_unchecked(*i),
-                                *self.right.get_unchecked(*i),
-                            )
-                        };
-                        *i = if go_left { l as usize } else { r as usize };
-                    }
-                }
-                for (b, &i) in idx.iter().enumerate() {
-                    out[r0 + b] += self.value[i];
-                }
-            }
-            // Tail rows: ordinary early-exit traversal (identical
-            // arithmetic — one leaf value added per tree).
-            for r in full..rows {
-                let x = &xs[r * nfeat..(r + 1) * nfeat];
-                let mut i = root as usize;
-                loop {
-                    let l = self.left[i] as usize;
-                    if l == i {
-                        out[r] += self.value[i];
-                        break;
-                    }
-                    let go_left = x[self.feat[i] as usize] <= self.thresh[i];
-                    i = if go_left { l } else { self.right[i] as usize };
-                }
-            }
-        }
-    }
-
-    /// Binned batch kernel over pre-quantized rows (`q` is row-major,
-    /// `fcount` bins per row). Same loop structure as the unbinned
-    /// kernel; each step loads one packed node word and one quantized
-    /// byte, and the next cursor is pure arithmetic on them.
-    fn batch_binned(&self, q: &[u8], fcount: usize, out: &mut [f64], plan: &BinPlan) {
-        let rows = out.len();
-        let full = rows - rows % BLOCK;
-        for (t, &root) in self.roots.iter().enumerate() {
-            let depth = self.depth[t];
-            if depth == 0 {
-                let v = self.value[root as usize];
-                for o in out.iter_mut() {
-                    *o += v;
-                }
-                continue;
-            }
-            for r0 in (0..full).step_by(BLOCK) {
-                let mut idx = [root as usize; BLOCK];
-                for _ in 0..depth {
-                    for (b, i) in idx.iter_mut().enumerate() {
-                        // SAFETY: same index invariants as the unbinned
-                        // kernel (`*i` < `num_nodes`; `plan.meta` has
-                        // `num_nodes` entries). The unpacked feature
-                        // index is ≤ `max_feat` < `fcount` and
-                        // `r0 + b` < `rows`, so the `q` index is
-                        // < `rows * fcount` = `q.len()` (built that
-                        // way one frame up).
                         let (qv, w) = unsafe {
                             let w = *plan.meta.get_unchecked(*i);
                             let f = ((w >> 8) & 0xff) as usize;
@@ -668,19 +638,16 @@ impl FlatTrees {
                     out[r0 + b] += self.value[i];
                 }
             }
+            // Tail rows: the same step, bounds-checked, one row at a time.
             for r in full..rows {
                 let qrow = &q[r * fcount..(r + 1) * fcount];
                 let mut i = root as usize;
-                loop {
-                    let l = self.left[i] as usize;
-                    if l == i {
-                        out[r] += self.value[i];
-                        break;
-                    }
-                    let bin = plan.meta[i] & 0xff;
-                    let go_left = u32::from(qrow[self.feat[i] as usize]) <= bin;
-                    i = if go_left { l } else { self.right[i] as usize };
+                for _ in 0..depth {
+                    let w = plan.meta[i];
+                    let qv = u32::from(qrow[((w >> 8) & 0xff) as usize]);
+                    i = (w >> 16) as usize + usize::from(qv > (w & 0xff));
                 }
+                out[r] += self.value[i];
             }
         }
     }
@@ -688,10 +655,10 @@ impl FlatTrees {
 
 impl crate::persist::Persist for FlatTrees {
     fn encode(&self, w: &mut crate::persist::ByteWriter) {
-        // `right`, `depth`, `max_feat`, and the bin plan are derived
-        // state — recomputed on decode rather than trusted from the
-        // wire, because the unsafe lockstep kernels rely on them. The
-        // wire format is the PR 1 node record (thresh, feat, left),
+        // `depth`, `max_feat`, and the bin plan are derived state —
+        // recomputed on decode rather than trusted from the wire,
+        // because the unsafe lockstep kernels rely on them. The wire
+        // format is the original node record (thresh, feat, left),
         // unchanged by the SoA re-layout.
         w.put_len(self.thresh.len());
         for i in 0..self.thresh.len() {
@@ -707,9 +674,10 @@ impl crate::persist::Persist for FlatTrees {
         r: &mut crate::persist::ByteReader<'_>,
     ) -> Result<FlatTrees, crate::persist::CodecError> {
         use crate::persist::CodecError;
+        let layout = |e: LayoutError| CodecError::invalid(e.to_string());
         let n = r.get_len(16)?;
-        if u32::try_from(n).is_err() {
-            return Err(CodecError::invalid(format!("{n} flat nodes exceed u32 indexing")));
+        if n > MAX_META_NODES {
+            return Err(layout(LayoutError::TooManyNodes { nodes: n }));
         }
         let mut thresh = Vec::with_capacity(n);
         let mut feat = Vec::with_capacity(n);
@@ -753,10 +721,8 @@ impl crate::persist::Persist for FlatTrees {
             for (i, &l) in left.iter().enumerate().take(end).skip(start) {
                 let l = l as usize;
                 if l == i {
-                    // The self-loop only parks cursors when the stored
-                    // threshold compares ≥ every feature value; anything
-                    // but +∞ would let the lockstep kernel walk off the
-                    // leaf (and potentially out of bounds).
+                    // Leaves carry the +∞ sentinel `from_trees` writes;
+                    // anything else is not an encoding it produced.
                     if thresh[i] != f64::INFINITY {
                         return Err(CodecError::invalid(format!(
                             "flat leaf {i} threshold is not +inf"
@@ -772,31 +738,28 @@ impl crate::persist::Persist for FlatTrees {
                 }
             }
         }
-        // Re-derive the right-child array (leaf: self; internal:
-        // left + 1) and max_feat (over every node, so the kernels'
-        // one-shot feature bound covers leaves too).
-        let mut right = Vec::with_capacity(n);
-        let mut max_feat = 0u32;
-        for (i, &l) in left.iter().enumerate() {
-            right.push(if l as usize == i { l } else { l + 1 });
-            max_feat = max_feat.max(feat[i]);
-        }
+        // Re-derive max_feat over internal nodes, as `from_trees` does:
+        // the packed words of leaves never index a feature.
+        let max_feat = (0..n)
+            .filter(|&i| left[i] as usize != i)
+            .map(|i| feat[i])
+            .max()
+            .unwrap_or(0);
         let mut flat = FlatTrees {
             thresh,
             feat,
             left,
-            right,
             value,
             roots,
             depth: Vec::new(),
             max_feat,
-            bins: None,
+            bins: BinPlan::default(),
         };
         for t in 0..flat.roots.len() {
             let d = flat.tree_depth(flat.roots[t] as usize);
             flat.depth.push(d);
         }
-        flat.bins = flat.build_bin_plan();
+        flat.bins = flat.build_bin_plan().map_err(layout)?;
         Ok(flat)
     }
 }
@@ -805,7 +768,11 @@ impl crate::persist::Persist for FlatTrees {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::tree::{GradTree, SortedColumns, TreeParams};
+    use crate::tree::{GradTree, Node, SortedColumns, TreeParams};
+
+    fn flatten<'a>(trees: impl IntoIterator<Item = &'a GradTree>, scale: f64) -> FlatTrees {
+        FlatTrees::from_trees(trees, scale).expect("small ensembles fit the packed layout")
+    }
 
     fn grown_tree() -> (Dataset, GradTree) {
         let mut d = Dataset::new(2);
@@ -824,7 +791,7 @@ mod tests {
     #[test]
     fn flat_matches_pointer_traversal() {
         let (d, t) = grown_tree();
-        let flat = FlatTrees::from_trees([&t], 1.0);
+        let flat = flatten([&t], 1.0);
         assert_eq!(flat.num_trees(), 1);
         assert_eq!(flat.num_nodes(), t.node_count());
         for (x, _) in d.iter() {
@@ -835,7 +802,7 @@ mod tests {
     #[test]
     fn scale_multiplies_leaf_values() {
         let (d, t) = grown_tree();
-        let flat = FlatTrees::from_trees([&t], 0.25);
+        let flat = flatten([&t], 0.25);
         for (x, _) in d.iter() {
             assert!((flat.predict_one(x) - 0.25 * t.predict(x)).abs() < 1e-12);
         }
@@ -844,7 +811,7 @@ mod tests {
     #[test]
     fn batch_accumulates_over_initialized_output() {
         let (d, t) = grown_tree();
-        let flat = FlatTrees::from_trees([&t, &t], 1.0);
+        let flat = flatten([&t, &t], 1.0);
         let mut xs = Vec::new();
         for (x, _) in d.iter() {
             xs.extend_from_slice(x);
@@ -859,7 +826,7 @@ mod tests {
     #[test]
     fn batch_matches_scalar_on_blocked_and_tail_rows() {
         let (d, t) = grown_tree();
-        let flat = FlatTrees::from_trees([&t], 1.0);
+        let flat = flatten([&t], 1.0);
         // 50 rows = 3 full blocks of 16 + a tail of 2: both paths run.
         let mut xs = Vec::new();
         for (x, _) in d.iter() {
@@ -877,8 +844,7 @@ mod tests {
         let (d, t) = grown_tree();
         // 4 copies: enough trees that the scalar binned kernel runs a
         // non-trivial lockstep block.
-        let flat = FlatTrees::from_trees([&t, &t, &t, &t], 0.5);
-        assert!(flat.has_bin_plan(), "a 50-row tree must fit the bin budget");
+        let flat = flatten([&t, &t, &t, &t], 0.5);
         let mut xs = Vec::new();
         for (x, _) in d.iter() {
             xs.extend_from_slice(x);
@@ -887,11 +853,8 @@ mod tests {
         for shift in [0.0, 0.4, -7.3, 1e9] {
             let moved: Vec<f64> = xs.iter().map(|v| v + shift).collect();
             let mut binned = vec![1.5; d.len()];
-            let mut unbinned = vec![1.5; d.len()];
             flat.predict_batch_into(&moved, d.nfeat(), &mut binned);
-            flat.predict_batch_into_unbinned(&moved, d.nfeat(), &mut unbinned);
             for i in 0..d.len() {
-                assert_eq!(binned[i], unbinned[i], "row {i} shift {shift}");
                 let row = &moved[i * d.nfeat()..(i + 1) * d.nfeat()];
                 assert_eq!(
                     flat.predict_one_from(row, 1.5),
@@ -910,11 +873,10 @@ mod tests {
     #[test]
     fn non_finite_features_route_like_f64_comparisons() {
         let (_, t) = grown_tree();
-        let flat = FlatTrees::from_trees([&t, &t], 1.0);
-        assert!(flat.has_bin_plan());
-        // NaN routes right everywhere, ±∞ route to the extremes; all
-        // four prediction paths must agree bitwise and never walk off a
-        // leaf (the explicit right-child self-loop).
+        let flat = flatten([&t, &t], 1.0);
+        // NaN routes right everywhere, ±∞ route to the extremes; both
+        // kernels must agree bitwise with the f64 reference and never
+        // walk off a leaf (the reserved leaf bin parks the cursor).
         let rows: Vec<[f64; 2]> = vec![
             [f64::NAN, 3.0],
             [3.0, f64::NAN],
@@ -925,12 +887,9 @@ mod tests {
         ];
         let xs: Vec<f64> = rows.iter().flatten().copied().collect();
         let mut binned = vec![0.0; rows.len()];
-        let mut unbinned = vec![0.0; rows.len()];
         flat.predict_batch_into(&xs, 2, &mut binned);
-        flat.predict_batch_into_unbinned(&xs, 2, &mut unbinned);
         for (i, row) in rows.iter().enumerate() {
             assert!(binned[i].is_finite());
-            assert_eq!(binned[i], unbinned[i], "row {i}");
             assert_eq!(flat.predict_one(row), binned[i], "scalar row {i}");
             assert_eq!(flat.predict_one_from_unbinned(row, 0.0), binned[i], "ref row {i}");
         }
@@ -946,7 +905,7 @@ mod tests {
         let sorted = SortedColumns::new(&d);
         let params = TreeParams { max_depth: 0, lambda: 0.0, ..Default::default() };
         let t = GradTree::fit(&d, &sorted, &g, &h, &params, &[0], None);
-        let flat = FlatTrees::from_trees([&t], 1.0);
+        let flat = flatten([&t], 1.0);
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let mut out = vec![0.0; 20];
         flat.predict_batch_into(&xs, 1, &mut out);
@@ -985,6 +944,51 @@ mod tests {
                     "x={x} cut[{j}]={c}: bin {bin} disagrees with f64 compare"
                 );
             }
+        }
+    }
+
+    /// One split on `feat` at `thresh` with two leaves.
+    fn stump(feat: u32, thresh: f64) -> GradTree {
+        let leaf = |value| Node { feat: LEAF, thresh: 0.0, left: LEAF, right: LEAF, value };
+        GradTree { nodes: vec![Node { feat, thresh, left: 1, right: 2, value: 0.0 }, leaf(-1.0), leaf(1.0)] }
+    }
+
+    #[test]
+    fn ensembles_beyond_the_packed_layout_are_typed_errors() {
+        let wide = [stump(256, 0.5)];
+        assert_eq!(
+            FlatTrees::from_trees(&wide, 1.0).err(),
+            Some(LayoutError::FeatureTooHigh { feat: 256 })
+        );
+        let cuts: Vec<GradTree> = (0..300).map(|k| stump(0, f64::from(k))).collect();
+        assert_eq!(
+            FlatTrees::from_trees(&cuts, 1.0).err(),
+            Some(LayoutError::TooManyCuts { feat: 0, cuts: 300 })
+        );
+        let inf = [stump(0, f64::INFINITY)];
+        assert_eq!(
+            FlatTrees::from_trees(&inf, 1.0).err(),
+            Some(LayoutError::NonFiniteThreshold { node: 0 })
+        );
+        // A caterpillar tree (every right child splits again) one node
+        // past the 16-bit child field.
+        let leaf = Node { feat: LEAF, thresh: 0.0, left: LEAF, right: LEAF, value: 0.0 };
+        let mut nodes = vec![leaf.clone(); MAX_META_NODES + 1];
+        for i in (0..MAX_META_NODES).step_by(2) {
+            let left = u32::try_from(i + 1).expect("below 2^17");
+            nodes[i] = Node { feat: 0, thresh: 0.5, left, right: left + 1, value: 0.0 };
+        }
+        assert_eq!(
+            FlatTrees::from_trees([&GradTree { nodes }], 1.0).err(),
+            Some(LayoutError::TooManyNodes { nodes: MAX_META_NODES + 1 })
+        );
+        // Exactly at the limits: 255 cuts on feature 255 still pack.
+        let full: Vec<GradTree> = (0..255).map(|k| stump(255, f64::from(k))).collect();
+        let flat = flatten(&full, 1.0);
+        let mut x = vec![0.0; 256];
+        for v in [-1.0, 0.0, 17.5, 254.0, 1e9, f64::NAN] {
+            x[255] = v;
+            assert_eq!(flat.predict_one(&x), flat.predict_one_from_unbinned(&x, 0.0), "x = {v}");
         }
     }
 }

@@ -10,9 +10,9 @@
 
 use crate::dataset::Dataset;
 use crate::error::{validate, FitError};
-use crate::flat::FlatTrees;
+use crate::flat::{FlatTrees, LayoutError};
 use crate::hist::{fit_hist, BinnedDataset};
-use crate::tree::{GradTree, SortedColumns, TreeParams};
+use crate::tree::TreeParams;
 
 /// Boosting objective. Gamma and Tweedie model `μ = exp(score)` (log
 /// link) and assume strictly positive targets.
@@ -76,21 +76,13 @@ impl Objective {
     }
 }
 
-/// How the weak-learner trees search for splits.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TreeMethod {
-    /// Exact greedy search over presorted columns (`xgboost`'s `exact`):
-    /// O(n) per feature per node. The reference implementation.
-    Exact,
-    /// Quantized histogram search (`xgboost`'s `hist` / LightGBM):
-    /// features pre-binned once, splits found by scanning ≤ `max_bins`
-    /// buckets, sibling histograms derived by subtraction. Equivalent
-    /// splits whenever a feature has ≤ `max_bins` distinct values.
-    Hist,
-}
-
 /// Boosting hyper-parameters (xgboost defaults; deliberately untuned,
 /// per the paper's robustness protocol).
+///
+/// Trees always grow by quantized histogram search (`xgboost`'s `hist`,
+/// [`crate::hist`]) over [`BinnedDataset::MAX_BINS`] bins per feature:
+/// the paper's features have a handful of distinct values each, so the
+/// splits are exactly the exact-greedy ones (`hist_equivalence`).
 #[derive(Clone, Copy, Debug)]
 pub struct GbtParams {
     /// Number of boosting rounds (the paper trains 200).
@@ -107,10 +99,6 @@ pub struct GbtParams {
     pub gamma: f64,
     /// Minimum hessian sum per child.
     pub min_child_weight: f64,
-    /// Split-search kernel (default [`TreeMethod::Hist`]).
-    pub tree_method: TreeMethod,
-    /// Histogram bins per feature for [`TreeMethod::Hist`] (≤ 256).
-    pub max_bins: usize,
 }
 
 impl Default for GbtParams {
@@ -123,8 +111,6 @@ impl Default for GbtParams {
             lambda: 1.0,
             gamma: 0.0,
             min_child_weight: 1.0,
-            tree_method: TreeMethod::Hist,
-            max_bins: BinnedDataset::MAX_BINS,
         }
     }
 }
@@ -191,15 +177,19 @@ impl GbtModel {
         GbtModel::fit_with_valid(data, params, None)
     }
 
-    /// Fallible fit: empty/non-finite data and (for Gamma/Tweedie)
-    /// non-positive targets are [`FitError`]s, not panics.
+    /// Fallible fit: empty/non-finite data, (for Gamma/Tweedie)
+    /// non-positive targets, and an ensemble too large for the packed
+    /// traversal layout ([`LayoutError`]) are [`FitError`]s, not panics.
     pub fn try_fit(data: &Dataset, params: &GbtParams) -> Result<GbtModel, FitError> {
         validate(
             "XGBoost",
             data,
             !matches!(params.objective, Objective::SquaredError),
         )?;
-        Ok(GbtModel::fit_with_valid(data, params, None))
+        GbtModel::boost(data, params, None).map_err(|e| FitError::EnsembleLayout {
+            learner: "XGBoost",
+            detail: e.to_string(),
+        })
     }
 
     /// [`GbtModel::fit`] with an optional held-out set. The valid set
@@ -211,6 +201,14 @@ impl GbtModel {
         params: &GbtParams,
         valid: Option<&Dataset>,
     ) -> GbtModel {
+        GbtModel::boost(data, params, valid).unwrap_or_else(|e| panic!("cannot fit XGBoost: {e}"))
+    }
+
+    fn boost(
+        data: &Dataset,
+        params: &GbtParams,
+        valid: Option<&Dataset>,
+    ) -> Result<GbtModel, LayoutError> {
         assert!(!data.is_empty(), "cannot fit GBT on an empty dataset");
         if !matches!(params.objective, Objective::SquaredError) {
             assert!(
@@ -232,14 +230,7 @@ impl GbtModel {
         let mut span = mpcp_obs::span("fit")
             .attr("rows", n)
             .attr("nfeat", data.nfeat())
-            .attr("rounds", params.rounds)
-            .attr(
-                "method",
-                match params.tree_method {
-                    TreeMethod::Hist => "hist",
-                    TreeMethod::Exact => "exact",
-                },
-            );
+            .attr("rounds", params.rounds);
 
         // μ-cache fast path: Gamma and the default Tweedie power express
         // their gradients directly through μ = exp(score) (a divide or a
@@ -254,19 +245,16 @@ impl GbtModel {
 
         let mut g = vec![0.0; n];
         let mut h = vec![0.0; n];
-        let mut leaf: Vec<u32> = vec![0; n];
         let mut factor: Vec<f64> = Vec::new();
         let mut trees = Vec::with_capacity(params.rounds);
-        // Bin (or presort) once; every round reuses the preprocessing.
-        let binned = matches!(params.tree_method, TreeMethod::Hist).then(|| {
+        // Bin once; every round reuses the quantized rows.
+        let binned = {
             let _bin_span = mpcp_obs::span("gbt.binning").attr("rows", n);
             let t = mpcp_obs::maybe_now();
-            let b = BinnedDataset::from_dataset(data, params.max_bins);
+            let b = BinnedDataset::from_dataset(data, BinnedDataset::MAX_BINS);
             mpcp_obs::record_elapsed("gbt.binning_ns", t);
             b
-        });
-        let sorted =
-            matches!(params.tree_method, TreeMethod::Exact).then(|| SortedColumns::new(data));
+        };
 
         // Held-out response cache, maintained incrementally per round —
         // scored only when tracing is on (purely observational).
@@ -306,23 +294,7 @@ impl GbtModel {
                     }
                 }
             }
-            let tree = match (&binned, &sorted) {
-                (Some(binned), _) => {
-                    let (tree, row_leaf) =
-                        fit_hist(binned, &g, &h, &tree_params, &features, None);
-                    leaf = row_leaf;
-                    tree
-                }
-                (_, Some(sorted)) => {
-                    let tree =
-                        GradTree::fit(data, sorted, &g, &h, &tree_params, &features, None);
-                    for i in 0..n {
-                        leaf[i] = tree.leaf_of(data.row(i));
-                    }
-                    tree
-                }
-                _ => unreachable!("one tree method is always prepared"),
-            };
+            let (tree, leaf) = fit_hist(&binned, &g, &h, &tree_params, &features, None);
             if mu_fast {
                 factor.clear();
                 factor.extend(tree.nodes.iter().map(|nd| (params.eta * nd.value).exp()));
@@ -375,8 +347,8 @@ impl GbtModel {
             trees.push(tree);
         }
         span.set_attr("trees", trees.len());
-        let flat = FlatTrees::from_trees(trees.iter(), params.eta);
-        GbtModel { base, objective: params.objective, flat }
+        let flat = FlatTrees::from_trees(trees.iter(), params.eta)?;
+        Ok(GbtModel { base, objective: params.objective, flat })
     }
 
     /// Predict the response for one feature vector. Accumulation order
@@ -606,6 +578,22 @@ mod tests {
         let mut d = Dataset::new(1);
         d.push(&[0.0], 0.0);
         let _ = GbtModel::fit(&d, &GbtParams::default());
+    }
+
+    #[test]
+    fn ensembles_beyond_the_packed_layout_are_fit_errors() {
+        // Only feature 299 varies, so every split lands past the packed
+        // word's 8-bit feature field.
+        let mut d = Dataset::new(300);
+        let mut x = vec![1.0; 300];
+        for i in 0..20 {
+            x[299] = f64::from(i);
+            d.push(&x, if i < 10 { 1.0 } else { 10.0 });
+        }
+        let err = GbtModel::try_fit(&d, &GbtParams { rounds: 2, ..Default::default() })
+            .expect_err("split feature 299 does not pack");
+        assert!(matches!(&err, FitError::EnsembleLayout { learner: "XGBoost", .. }), "{err}");
+        assert!(err.to_string().contains("split feature 299"), "{err}");
     }
 
     #[test]

@@ -19,20 +19,11 @@
 //! training-row partitions. This equivalence is enforced by property
 //! tests (`crates/ml/tests/hist_equivalence.rs`).
 
-use rayon::prelude::*;
-
 use crate::dataset::Dataset;
 use crate::tree::{GradTree, Node, TreeParams, LEAF};
 
 /// Hard upper bound on bins per feature (bin indices fit in a `u8`).
 const MAX_BINS_LIMIT: usize = 256;
-
-/// Row count × feature count below which per-node histogram
-/// construction stays sequential (thread spawn would dominate).
-const PAR_HIST_CUTOFF: usize = 1 << 16;
-
-/// Rows per parallel chunk when a histogram build goes parallel.
-const PAR_HIST_CHUNK: usize = 1 << 14;
 
 /// A dataset quantized to per-feature bins, reusable across all trees
 /// of a booster (binning happens once, not once per tree).
@@ -67,14 +58,11 @@ impl BinnedDataset {
         let max_bins = max_bins.min(MAX_BINS_LIMIT);
         let n = data.len();
         let nfeat = data.nfeat();
-        let per_feature: Vec<(Vec<u8>, Vec<f64>)> = (0..nfeat)
-            .into_par_iter()
-            .map(|f| bin_feature(data, f, max_bins))
-            .collect();
         let mut codes = vec![0u8; n * nfeat];
         let mut nbins = Vec::with_capacity(nfeat);
         let mut thresholds = Vec::with_capacity(nfeat);
-        for (f, (col_codes, col_thresholds)) in per_feature.into_iter().enumerate() {
+        for f in 0..nfeat {
+            let (col_codes, col_thresholds) = bin_feature(data, f, max_bins);
             nbins.push(col_thresholds.len() as u32 + 1);
             for (i, c) in col_codes.into_iter().enumerate() {
                 codes[i * nfeat + f] = c;
@@ -311,7 +299,7 @@ pub fn fit_hist(
     let build = |rows: &[u32], hist: &mut [f64], counts: &mut [u32]| {
         let t = mpcp_obs::maybe_now();
         match &packed {
-            None => build_histogram(
+            None => accumulate_rows(
                 binned,
                 rows,
                 |i| (g[i], h[i]),
@@ -321,7 +309,7 @@ pub fn fit_hist(
                 hist,
                 counts,
             ),
-            Some(gh) => build_histogram(
+            Some(gh) => accumulate_rows(
                 binned,
                 rows,
                 |i| (gh[2 * i], gh[2 * i + 1]),
@@ -489,59 +477,10 @@ pub fn fit_hist(
 }
 
 /// Accumulate the (g, h) histogram and row counts of one row set into
-/// `hist`/`counts` (caller zeroes the buffers), chunk-parallel over
-/// rows when the work justifies thread spawns.
-#[allow(clippy::too_many_arguments)]
-fn build_histogram<L: Fn(usize) -> (f64, f64) + Copy + Sync>(
-    binned: &BinnedDataset,
-    rows: &[u32],
-    load: L,
-    features: &[usize],
-    offs: &[usize],
-    coffs: &[usize],
-    hist: &mut [f64],
-    counts: &mut [u32],
-) {
-    let par = rows.len() * features.len() >= PAR_HIST_CUTOFF && rayon::current_num_threads() > 1;
-    if par {
-        // Each chunk fills a private (small) histogram; merge at the end.
-        let nchunks = rows.len().div_ceil(PAR_HIST_CHUNK);
-        let parts: Vec<(Vec<f64>, Vec<u32>)> = (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * PAR_HIST_CHUNK;
-                let hi = (lo + PAR_HIST_CHUNK).min(rows.len());
-                let mut part = vec![0.0; hist.len()];
-                let mut part_counts = vec![0u32; counts.len()];
-                accumulate_rows(
-                    binned,
-                    &rows[lo..hi],
-                    load,
-                    features,
-                    offs,
-                    coffs,
-                    &mut part,
-                    &mut part_counts,
-                );
-                (part, part_counts)
-            })
-            .collect();
-        for (part, part_counts) in parts {
-            for (a, b) in hist.iter_mut().zip(&part) {
-                *a += b;
-            }
-            for (a, b) in counts.iter_mut().zip(&part_counts) {
-                *a += b;
-            }
-        }
-    } else {
-        accumulate_rows(binned, rows, load, features, offs, coffs, hist, counts);
-    }
-}
-
-/// One pass over `rows` feeding every feature's histogram: the row's
-/// codes share a cache line and its (weight-folded) (g, h) pair is
-/// loaded once, instead of once per feature.
+/// `out`/`counts` (the caller zeroes the buffers) in one pass over
+/// `rows` feeding every feature's histogram: the row's codes share a
+/// cache line and its (weight-folded) (g, h) pair is loaded once,
+/// instead of once per feature.
 ///
 /// Consecutive rows with **identical code rows** are collapsed into a
 /// running (Σg, Σh, count) before touching any bin. Grid-style training

@@ -1,13 +1,15 @@
-//! Property tests pinning every SoA inference kernel to the scalar
-//! early-exit reference — bitwise, not tolerance-based.
+//! Property tests pinning both SoA inference kernels to the scalar
+//! early-exit f64 reference — bitwise, not tolerance-based.
 //!
-//! The flattened ensemble has four prediction paths (scalar/batch ×
-//! binned/unbinned) that must agree bit for bit on *every* input,
-//! including NaN and ±∞ feature values (which must route like the f64
-//! comparison: NaN right, never off a leaf) and depth-0 stump trees
-//! (whose leaf self-loops exercise the park-on-leaf encoding). The
-//! persist codec must also rebuild the derived SoA state (right
-//! children, depths, bin plan) into a bitwise-identical predictor.
+//! The flattened ensemble has two prediction kernels (scalar and batch,
+//! both over the packed binned layout) that must agree bit for bit with
+//! `predict_one_from_unbinned` on *every* input, including NaN and ±∞
+//! feature values (which must route like the f64 comparison: NaN right,
+//! never off a leaf) and depth-0 stump trees (whose leaf self-loops
+//! exercise the park-on-leaf encoding). The persist codec must also
+//! rebuild the derived state (depths, bin plan) into a
+//! bitwise-identical predictor, and reject an ensemble the packed
+//! layout cannot hold with a typed error.
 //!
 //! These run under Miri in CI with a reduced `PROPTEST_CASES`, so the
 //! `get_unchecked` lockstep loops are exercised under the strictest
@@ -16,7 +18,7 @@
 use proptest::prelude::*;
 
 use mpcp_ml::flat::FlatTrees;
-use mpcp_ml::persist::{ByteReader, ByteWriter, Persist};
+use mpcp_ml::persist::{ByteReader, ByteWriter, CodecError, Persist};
 use mpcp_ml::tree::{GradTree, SortedColumns, TreeParams};
 use mpcp_ml::Dataset;
 
@@ -41,7 +43,7 @@ fn grow(rows: &[(f64, f64, f64)], ntrees: usize, max_depth: usize) -> FlatTrees 
             GradTree::fit(&d, &sorted, &g, &h, &params, &[0, 1], None)
         })
         .collect();
-    FlatTrees::from_trees(&trees, 0.3)
+    FlatTrees::from_trees(&trees, 0.3).expect("small ensembles fit the packed layout")
 }
 
 /// A feature value that may be NaN or ±∞, not just in-range.
@@ -60,22 +62,14 @@ fn wild_value() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// All four prediction paths for `xs`, asserted bitwise-equal; returns
-/// the batch result for further checks.
+/// Both kernels and the f64 reference for `xs`, asserted
+/// bitwise-equal; returns the batch result for further checks.
 fn assert_paths_agree(flat: &FlatTrees, xs: &[f64]) -> Result<Vec<f64>, TestCaseError> {
     let rows = xs.len() / 2;
     let mut batch = vec![0.25f64; rows];
-    let mut unbinned = vec![0.25f64; rows];
     flat.predict_batch_into(xs, 2, &mut batch);
-    flat.predict_batch_into_unbinned(xs, 2, &mut unbinned);
     for i in 0..rows {
         let row = &xs[i * 2..(i + 1) * 2];
-        prop_assert_eq!(
-            batch[i].to_bits(),
-            unbinned[i].to_bits(),
-            "row {}: binned batch vs unbinned batch",
-            i
-        );
         let scalar = flat.predict_one_from(row, 0.25);
         prop_assert_eq!(batch[i].to_bits(), scalar.to_bits(), "row {}: batch vs scalar", i);
         let reference = flat.predict_one_from_unbinned(row, 0.25);
@@ -87,12 +81,11 @@ fn assert_paths_agree(flat: &FlatTrees, xs: &[f64]) -> Result<Vec<f64>, TestCase
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Tentpole invariant: binned SoA batch ≡ unbinned batch ≡ binned
-    /// scalar ≡ unbinned scalar, bitwise, on wild inputs (NaN, ±∞,
-    /// negative zero, far off-grid) — and the result is always finite,
-    /// i.e. no kernel ever walks off a leaf self-loop.
+    /// Batch kernel ≡ scalar kernel ≡ f64 reference, bitwise, on wild
+    /// inputs (NaN, ±∞, negative zero, far off-grid) — and the result
+    /// is always finite, i.e. no kernel ever walks off a leaf self-loop.
     #[test]
-    fn all_four_kernel_paths_agree_bitwise(
+    fn kernel_paths_agree_bitwise_with_the_reference(
         rows in prop::collection::vec(
             ((-100.0f64..100.0), (-100.0f64..100.0), (0.1f64..100.0)), 4..40),
         queries in prop::collection::vec((wild_value(), wild_value()), 1..40),
@@ -100,7 +93,6 @@ proptest! {
         max_depth in 1usize..6,
     ) {
         let flat = grow(&rows, ntrees, max_depth);
-        prop_assert!(flat.has_bin_plan(), "small exact ensembles fit the bin budget");
         let xs: Vec<f64> = queries.iter().flat_map(|&(a, b)| [a, b]).collect();
         let batch = assert_paths_agree(&flat, &xs)?;
         for (i, p) in batch.iter().enumerate() {
@@ -150,13 +142,13 @@ proptest! {
             GradTree::fit(&d, &sorted, &g, &h, &stump, &[0, 1], None),
             GradTree::fit(&d, &sorted, &g, &h, &deep, &[0], None),
         ];
-        let flat = FlatTrees::from_trees(&trees, 0.7);
+        let flat = FlatTrees::from_trees(&trees, 0.7).expect("fits the packed layout");
         let xs: Vec<f64> = queries.iter().flat_map(|&(a, b)| [a, b]).collect();
         assert_paths_agree(&flat, &xs)?;
     }
 
-    /// Persist round-trip: the decoder rebuilds the derived SoA state
-    /// (right children, depths, bin plan) into a predictor that is
+    /// Persist round-trip: the decoder rebuilds the derived state
+    /// (depths, bin plan) into a predictor that is
     /// bitwise identical on every path, and re-encoding is byte-stable.
     #[test]
     fn persist_roundtrip_is_bitwise_identical(
@@ -174,7 +166,6 @@ proptest! {
         let decoded = FlatTrees::decode(&mut r).expect("valid encoding decodes");
         prop_assert_eq!(decoded.num_trees(), flat.num_trees());
         prop_assert_eq!(decoded.num_nodes(), flat.num_nodes());
-        prop_assert_eq!(decoded.has_bin_plan(), flat.has_bin_plan());
         let xs: Vec<f64> = queries.iter().flat_map(|&(a, b)| [a, b]).collect();
         let original = assert_paths_agree(&flat, &xs)?;
         let reloaded = assert_paths_agree(&decoded, &xs)?;
@@ -184,5 +175,35 @@ proptest! {
         let mut w2 = ByteWriter::new();
         decoded.encode(&mut w2);
         prop_assert_eq!(w2.into_bytes(), bytes, "re-encoding is not byte-stable");
+    }
+}
+
+/// A hand-encoded ensemble of 300 one-split trees on feature 0, each at
+/// a distinct threshold: more cuts than the packed `u8` bins hold, so
+/// decoding is a typed error — not a panic, not a second kernel.
+#[test]
+fn decoding_more_cuts_than_the_bins_hold_is_a_codec_error() {
+    let trees = 300u32;
+    let mut w = ByteWriter::new();
+    w.put_len(3 * trees as usize);
+    for t in 0..trees {
+        let root = 3 * t;
+        w.put_f64(f64::from(t));
+        w.put_u32(0);
+        w.put_u32(root + 1);
+        for leaf in [root + 1, root + 2] {
+            w.put_f64(f64::INFINITY);
+            w.put_u32(0);
+            w.put_u32(leaf);
+        }
+    }
+    w.put_f64s(&vec![0.5; 3 * trees as usize]);
+    w.put_u32s(&(0..trees).map(|t| 3 * t).collect::<Vec<_>>());
+    let bytes = w.into_bytes();
+    match FlatTrees::decode(&mut ByteReader::new(&bytes)) {
+        Err(CodecError::Invalid { what }) => {
+            assert!(what.contains("300 distinct thresholds"), "{what}")
+        }
+        other => panic!("expected a typed layout error, got {other:?}"),
     }
 }

@@ -152,6 +152,13 @@ impl Persist for NetRequest {
                 let msize = r.get_u64()?;
                 let nodes = r.get_u32()?;
                 let ppn = r.get_u32()?;
+                // A zero dimension names no topology; the selector's
+                // fallback would hit `Topology::new`'s assertion.
+                if nodes == 0 || ppn == 0 {
+                    return Err(CodecError::invalid(format!(
+                        "select instance has {nodes} node(s) and {ppn} process(es) per node"
+                    )));
+                }
                 Ok(NetRequest::Select {
                     req_id,
                     key: ShardKey { coll: key_coll, scope },
@@ -1070,6 +1077,22 @@ mod tests {
                 mpcp_ml::persist::decode_framed::<NetRequest>(KIND_NET_REQUEST, &corrupt).is_err(),
                 "flip at byte {i} went undetected"
             );
+        }
+    }
+
+    #[test]
+    fn zero_dimension_selects_are_typed_decode_errors() {
+        for (nodes, ppn) in [(0, 4), (8, 0)] {
+            let req = NetRequest::Select {
+                req_id: 5,
+                key: ShardKey { coll: Collective::Allreduce, scope: "m/l".into() },
+                instance: Instance::new(Collective::Allreduce, 64, nodes, ppn),
+            };
+            let bytes = encode_framed(KIND_NET_REQUEST, &req);
+            match mpcp_ml::persist::decode_framed::<NetRequest>(KIND_NET_REQUEST, &bytes) {
+                Err(CodecError::Invalid { what }) => assert!(what.contains("select instance")),
+                other => panic!("{nodes}x{ppn}: expected a typed error, got {other:?}"),
+            }
         }
     }
 
