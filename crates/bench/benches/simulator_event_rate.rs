@@ -12,6 +12,10 @@ fn bench(c: &mut Criterion) {
         ("chain_bcast_128ranks_4M_seg1K", AlgKind::BcastChain { chains: 4, seg: 1 << 10 },
          Topology::new(16, 8), 4 << 20),
         ("alltoall_linear_64ranks_4K", AlgKind::AlltoallLinear, Topology::new(8, 8), 4 << 10),
+        // The schedule that dominates the table4-allreduce workload.
+        ("ring_allreduce_288ranks_64K", AlgKind::AllreduceRing, Topology::new(36, 8), 64 << 10),
+        // Every rank posts p - 1 operations at once: many pending events.
+        ("alltoall_linear_512ranks_64K", AlgKind::AlltoallLinear, Topology::new(16, 32), 64 << 10),
     ];
     let mut g = c.benchmark_group("simulator_event_rate");
     g.sample_size(10);

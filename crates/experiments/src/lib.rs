@@ -65,16 +65,22 @@ pub fn fast_mode() -> bool {
     std::env::var("MPCP_FAST").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Shrink a dataset spec for smoke runs: half the node list, three ppn
-/// values, message sizes capped at 64 KiB.
+/// Shrink a dataset spec for smoke runs: the small training node counts,
+/// the smallest node count only the large training set has (so the large
+/// and small splits still differ), the first and last test node counts,
+/// three ppn values, message sizes capped at 64 KiB.
 pub fn shrink_spec(mut spec: DatasetSpec) -> DatasetSpec {
     let split = splits::paper_split(&spec.machine.name);
+    let large_only = split.train_full.iter().find(|n| !split.train_small.contains(n));
     let mut nodes: Vec<u32> = spec
         .nodes
         .iter()
         .copied()
         .filter(|n| {
-            split.train_small.contains(n) || split.test.first() == Some(n) || split.test.last() == Some(n)
+            split.train_small.contains(n)
+                || large_only == Some(n)
+                || split.test.first() == Some(n)
+                || split.test.last() == Some(n)
         })
         .collect();
     nodes.dedup();
@@ -361,6 +367,18 @@ mod tests {
         assert!(small.nodes.len() < spec.nodes.len());
         assert!(small.ppn.len() <= 3);
         assert!(small.msizes.iter().all(|&m| m <= 64 << 10));
+        // Fast mode must still tell Table IV(a) from (b): the shrunk grid
+        // keeps a node count only the large training set has.
+        for spec in [DatasetSpec::d1(), DatasetSpec::d3()] {
+            let small = shrink_spec(spec);
+            let split = splits::paper_split(&small.machine.name);
+            let kept = |train: &[u32]| -> Vec<u32> {
+                train.iter().copied().filter(|n| small.nodes.contains(n)).collect()
+            };
+            let (large, few) = (kept(&split.train_full), kept(&split.train_small));
+            assert_ne!(large, few, "{}: large and small training sets coincide", small.machine.name);
+            assert_eq!(few, split.train_small, "{}", small.machine.name);
+        }
     }
 
     #[test]

@@ -144,6 +144,20 @@ mod tests {
     }
 
     #[test]
+    fn splits_between_values_near_the_f64_limit() {
+        // The exact grower's cut between 1e308 and 1.7e308 must stay
+        // finite, or both values route to the same leaf.
+        let mut d = Dataset::new(1);
+        for _ in 0..10 {
+            d.push(&[1e308], 1.0);
+            d.push(&[1.7e308], 100.0);
+        }
+        let m = ForestModel::fit(&d, &ForestParams { trees: 20, ..Default::default() });
+        let (lo, hi) = (m.predict(&[1e308]), m.predict(&[1.7e308]));
+        assert!((lo - 1.0).abs() < 1e-9 && (hi - 100.0).abs() < 1e-9, "{lo} {hi}");
+    }
+
+    #[test]
     fn fixed_seed_is_deterministic() {
         let d = surface();
         let a = ForestModel::fit(&d, &ForestParams::default());

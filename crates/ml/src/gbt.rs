@@ -573,6 +573,20 @@ mod tests {
     }
 
     #[test]
+    fn splits_between_values_near_the_f64_limit() {
+        // 1e308 + 1.7e308 overflows, so a plain midpoint cut would be +∞
+        // and the feature could never split.
+        let mut d = Dataset::new(1);
+        for _ in 0..10 {
+            d.push(&[1e308], 1.0);
+            d.push(&[1.7e308], 100.0);
+        }
+        let model = GbtModel::fit(&d, &GbtParams::default());
+        let (lo, hi) = (model.predict(&[1e308]), model.predict(&[1.7e308]));
+        assert!((lo - 1.0).abs() < 0.01 && (hi - 100.0).abs() < 1.0, "{lo} {hi}");
+    }
+
+    #[test]
     #[should_panic(expected = "strictly positive")]
     fn tweedie_rejects_nonpositive_targets() {
         let mut d = Dataset::new(1);

@@ -20,7 +20,7 @@
 //! tests (`crates/ml/tests/hist_equivalence.rs`).
 
 use crate::dataset::Dataset;
-use crate::tree::{GradTree, Node, TreeParams, LEAF};
+use crate::tree::{midpoint, GradTree, Node, TreeParams, LEAF};
 
 /// Hard upper bound on bins per feature (bin indices fit in a `u8`).
 const MAX_BINS_LIMIT: usize = 256;
@@ -124,7 +124,7 @@ fn bin_feature(data: &Dataset, f: usize, max_bins: usize) -> (Vec<u8>, Vec<f64>)
     if uniques.len() <= max_bins {
         // One bin per distinct value: exact-equivalent quantization.
         for w in uniques.windows(2) {
-            thresholds.push(0.5 * (w[0].0 + w[1].0));
+            thresholds.push(midpoint(w[0].0, w[1].0));
         }
     } else {
         // Greedy quantile binning: close a bin once it holds ≥ n/max_bins
@@ -135,7 +135,7 @@ fn bin_feature(data: &Dataset, f: usize, max_bins: usize) -> (Vec<u8>, Vec<f64>)
             acc += c;
             let last = k + 1 == uniques.len();
             if !last && acc >= target && thresholds.len() < max_bins - 1 {
-                thresholds.push(0.5 * (v + uniques[k + 1].0));
+                thresholds.push(midpoint(v, uniques[k + 1].0));
                 acc = 0;
             }
         }

@@ -173,7 +173,7 @@ impl GradTree {
                                 best[pos] = Some(BestSplit {
                                     gain,
                                     feat: f as u32,
-                                    thresh: 0.5 * (st.last_value + x),
+                                    thresh: midpoint(st.last_value, x),
                                 });
                             }
                         }
@@ -323,6 +323,23 @@ impl crate::persist::Persist for GradTree {
             }
         }
         Ok(GradTree { nodes })
+    }
+}
+
+/// The split point halfway between two adjacent feature values.
+///
+/// `0.5 * (a + b)` overflows to ±∞ when `a + b` exceeds the `f64` range
+/// (1e308 and 1.7e308), which would send every row to one side of the
+/// split; only then is the midpoint taken as `0.5 * a + 0.5 * b`. Every
+/// finite sum keeps the plain formula, so existing models' thresholds
+/// are bit for bit unchanged.
+#[inline]
+pub(crate) fn midpoint(a: f64, b: f64) -> f64 {
+    let m = 0.5 * (a + b);
+    if m.is_finite() {
+        m
+    } else {
+        0.5 * a + 0.5 * b
     }
 }
 

@@ -25,12 +25,16 @@
 //! sender-side queueing difference. Collective schedules are insensitive
 //! to this reordering.
 //!
-//! The engine is exactly deterministic: ties are broken by event sequence
-//! number, and no randomness exists below the benchmark layer.
+//! The engine is exactly deterministic: events at equal times run in the
+//! order they were scheduled, and no randomness exists below the
+//! benchmark layer.
+//!
+//! The hot loop allocates nothing per event once its buffers have grown:
+//! pending events live in a monotone radix heap ([`EventQueue`]) and
+//! unmatched receives and messages in one front-scanned FIFO per rank
+//! ([`MatchQueue`]).
 
-use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::error::SimError;
 use crate::model::NetworkModel;
@@ -38,8 +42,8 @@ use crate::program::{Instr, LoopBytes, Program, SegInstr, Tag};
 use crate::resource::FifoResource;
 use crate::stats::SimResult;
 use crate::time::SimTime;
-use crate::topology::{Rank, Topology};
-use crate::util::{match_key, IntMap};
+use crate::topology::{NodeId, Rank, Topology};
+use crate::util::match_key;
 
 /// A configured simulator for one machine model and topology.
 ///
@@ -116,7 +120,7 @@ impl<'m> Simulator<'m> {
 // internal execution state
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EventKind {
     /// Rank CPU becomes free; fetch and issue the next instruction.
     Advance { rank: Rank },
@@ -134,24 +138,129 @@ enum EventKind {
     CtsArrive { msg: u32 },
 }
 
+/// A scheduled event: 16 bytes. Its place among events of equal time is
+/// its place in the push order, kept by [`EventQueue`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Event {
     time: SimTime,
-    seq: u64,
     kind: EventKind,
 }
 
-impl Ord for Event {
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+/// Pending events, popped in `(time, push order)` order.
+///
+/// A radix heap over the picosecond timestamp. Simulated time never goes
+/// backwards — every event is scheduled at or after the time of the event
+/// being processed — so each event is filed in the bucket named by the
+/// highest bit in which its time differs from the last popped time
+/// (bucket 0: equal). Popping drains bucket 0 front to back; when it is
+/// empty, the lowest non-empty bucket is refiled against its minimum
+/// time, which sends that minimum's events to bucket 0.
+///
+/// Events of equal time always share a bucket (the bucket depends only on
+/// the time and the last popped time), pushes append, and refiling keeps
+/// relative order, so equal times leave in push order: exactly the
+/// `(time, sequence number)` order of a binary heap that numbers its
+/// pushes. Each event is refiled at most 64 times, in practice a few.
+struct EventQueue {
+    /// The current time: the time of the last popped event, or after a
+    /// refill of the next one. Every queued time is ≥ this.
+    last: u64,
+    /// `buckets[b]` holds events whose time differs from `last` first in
+    /// bit `b - 1`; `buckets[0]` those at exactly `last`.
+    buckets: [Vec<Event>; 65],
+    /// Read cursor into `buckets[0]`.
+    head: usize,
+    /// Bit `b - 1` set iff `buckets[b]` is non-empty, for `b` in 1..=64.
+    nonempty: u64,
+}
+
+impl EventQueue {
+    fn new() -> Self {
+        EventQueue {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            head: 0,
+            nonempty: 0,
+        }
+    }
+
     #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+    fn bucket(&self, time: u64) -> usize {
+        (u64::BITS - (time ^ self.last).leading_zeros()) as usize
+    }
+
+    #[inline]
+    fn push(&mut self, ev: Event) {
+        debug_assert!(ev.time.0 >= self.last, "event scheduled in the past");
+        let b = self.bucket(ev.time.0);
+        if b > 0 {
+            self.nonempty |= 1 << (b - 1);
+        }
+        self.buckets[b].push(ev);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Event> {
+        if self.head == self.buckets[0].len() {
+            self.refill()?;
+        }
+        let ev = self.buckets[0][self.head];
+        self.head += 1;
+        Some(ev)
+    }
+
+    /// Bucket 0 is drained: refile the lowest non-empty bucket against its
+    /// minimum time. `None` when no event is left.
+    fn refill(&mut self) -> Option<()> {
+        self.buckets[0].clear();
+        self.head = 0;
+        if self.nonempty == 0 {
+            return None;
+        }
+        let b = self.nonempty.trailing_zeros() as usize + 1;
+        self.nonempty &= !(1 << (b - 1));
+        let mut moved = std::mem::take(&mut self.buckets[b]);
+        self.last = moved.iter().map(|e| e.time.0).min().expect("non-empty bucket");
+        for ev in moved.drain(..) {
+            self.push(ev);
+        }
+        // Hand the emptied buffer back so its capacity is reused.
+        self.buckets[b] = moved;
+        Some(())
     }
 }
 
-impl PartialOrd for Event {
+/// Unmatched entries at one rank, oldest first, keyed on packed
+/// `(source, tag)`.
+///
+/// Matching takes the oldest entry with the key, which is MPI's
+/// non-overtaking rule: the first posted receive matches the first
+/// arrived message of a stream. The scan starts at the front because
+/// collective schedules post receives in roughly the order their messages
+/// arrive, so the match is almost always at or near the front; removal
+/// from a ring buffer then moves few entries. Capacity persists for the
+/// run, so matching allocates nothing once the queue has grown.
+struct MatchQueue<T> {
+    entries: VecDeque<(u64, T)>,
+}
+
+impl<T> MatchQueue<T> {
+    fn new() -> Self {
+        MatchQueue { entries: VecDeque::new() }
+    }
+
     #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn push(&mut self, key: u64, value: T) {
+        self.entries.push_back((key, value));
+    }
+
+    /// Remove and return the oldest entry with `key`.
+    #[inline]
+    fn take(&mut self, key: u64) -> Option<T> {
+        let i = self.entries.iter().position(|e| e.0 == key)?;
+        self.entries.remove(i).map(|e| e.1)
     }
 }
 
@@ -187,10 +296,10 @@ struct RankState<'p> {
     waiting_all: bool,
     finished: bool,
     finish_time: SimTime,
-    /// Posted-but-unmatched receives, keyed by (src, tag).
-    posted: IntMap<VecDeque<PostedRecv>>,
+    /// Posted-but-unmatched receives.
+    posted: MatchQueue<PostedRecv>,
     /// Arrived-but-unmatched messages (eager payloads or rendezvous RTS).
-    arrived: IntMap<VecDeque<u32>>,
+    arrived: MatchQueue<u32>,
 }
 
 impl<'p> RankState<'p> {
@@ -207,8 +316,8 @@ impl<'p> RankState<'p> {
             waiting_all: false,
             finished: false,
             finish_time: SimTime::ZERO,
-            posted: IntMap::default(),
-            arrived: IntMap::default(),
+            posted: MatchQueue::new(),
+            arrived: MatchQueue::new(),
         }
     }
 }
@@ -224,16 +333,21 @@ enum RInstr {
 
 struct Exec<'m, 'p> {
     model: &'m NetworkModel,
-    topo: &'p Topology,
     programs: &'p [Program],
+    /// Node hosting each rank.
+    node: Vec<NodeId>,
+    /// The model's per-message constants, converted once.
+    o_send: SimTime,
+    o_recv: SimTime,
+    alpha_inter: SimTime,
+    alpha_intra: SimTime,
     ranks: Vec<RankState<'p>>,
     nic_tx: Vec<FifoResource>,
     nic_rx: Vec<FifoResource>,
     mem: Vec<FifoResource>,
-    heap: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue,
     msgs: Vec<Msg>,
     free_msgs: Vec<u32>,
-    seq: u64,
     events: u64,
     delivered: u64,
     bytes_inter: u64,
@@ -259,16 +373,19 @@ impl<'m, 'p> Exec<'m, 'p> {
         };
         Exec {
             model,
-            topo,
             programs,
+            node: topo.ranks().map(|r| topo.node_of(r)).collect(),
+            o_send: model.o_send_t(),
+            o_recv: model.o_recv_t(),
+            alpha_inter: model.alpha_inter_t(),
+            alpha_intra: model.alpha_intra_t(),
             ranks: (0..p).map(|_| RankState::new()).collect(),
             nic_tx: (0..n).map(|_| FifoResource::new(model.rails)).collect(),
             nic_rx: (0..n).map(|_| FifoResource::new(model.rails)).collect(),
             mem: (0..n).map(|_| FifoResource::new(model.mem_channels)).collect(),
-            heap: BinaryHeap::with_capacity(p * 2),
+            queue: EventQueue::new(),
             msgs: Vec::with_capacity(256),
             free_msgs: Vec::new(),
-            seq: 0,
             events: 0,
             delivered: 0,
             bytes_inter: 0,
@@ -282,8 +399,22 @@ impl<'m, 'p> Exec<'m, 'p> {
 
     #[inline]
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event { time, seq: self.seq, kind }));
+        self.queue.push(Event { time, kind });
+    }
+
+    #[inline]
+    fn same_node(&self, a: Rank, b: Rank) -> bool {
+        self.node[a as usize] == self.node[b as usize]
+    }
+
+    /// Latency of the path between two ranks.
+    #[inline]
+    fn alpha(&self, a: Rank, b: Rank) -> SimTime {
+        if self.same_node(a, b) {
+            self.alpha_intra
+        } else {
+            self.alpha_inter
+        }
     }
 
     fn alloc_msg(&mut self, msg: Msg) -> u32 {
@@ -302,10 +433,10 @@ impl<'m, 'p> Exec<'m, 'p> {
     }
 
     fn run(&mut self) -> Result<SimResult, SimError> {
-        for r in 0..self.topo.size() {
+        for r in 0..self.ranks.len() as Rank {
             self.push_event(self.starts[r as usize], EventKind::Advance { rank: r });
         }
-        while let Some(Reverse(ev)) = self.heap.pop() {
+        while let Some(ev) = self.queue.pop() {
             self.events += 1;
             let t = ev.time;
             match ev.kind {
@@ -341,7 +472,7 @@ impl<'m, 'p> Exec<'m, 'p> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        let blocked: Vec<Rank> = (0..self.topo.size())
+        let blocked: Vec<Rank> = (0..self.ranks.len() as Rank)
             .filter(|&r| !self.ranks[r as usize].finished)
             .collect();
         if !blocked.is_empty() {
@@ -458,7 +589,7 @@ impl<'m, 'p> Exec<'m, 'p> {
 
     /// Issue instructions for `rank` starting at `now` until it blocks or
     /// finishes. Cheap nonblocking instructions continue inline without
-    /// heap traffic.
+    /// event-queue traffic.
     fn advance(&mut self, rank: Rank, mut now: SimTime) {
         loop {
             let Some(instr) = self.fetch_next(rank) else {
@@ -487,7 +618,7 @@ impl<'m, 'p> Exec<'m, 'p> {
                     }
                 }
                 RInstr::Send { peer, bytes, tag, blocking } => {
-                    let cpu_done = now + self.model.o_send_t();
+                    let cpu_done = now + self.o_send;
                     self.start_send(rank, peer, bytes, tag, blocking, cpu_done);
                     if blocking {
                         self.ranks[rank as usize].pending_current = 1;
@@ -509,7 +640,7 @@ impl<'m, 'p> Exec<'m, 'p> {
                 }
                 RInstr::SendRecv { s_peer, s_bytes, s_tag, r_peer, r_bytes, r_tag } => {
                     self.ranks[rank as usize].pending_current = 2;
-                    let cpu_done = now + self.model.o_send_t();
+                    let cpu_done = now + self.o_send;
                     self.start_send(rank, s_peer, s_bytes, s_tag, true, cpu_done);
                     self.post_recv(rank, r_peer, r_bytes, r_tag, true, now);
                     return;
@@ -533,7 +664,7 @@ impl<'m, 'p> Exec<'m, 'p> {
         send_counts: bool,
         ready: SimTime,
     ) {
-        let intra = self.topo.same_node(src, dst);
+        let intra = self.same_node(src, dst);
         let eager = if intra {
             self.model.is_eager_intra(bytes)
         } else {
@@ -551,7 +682,7 @@ impl<'m, 'p> Exec<'m, 'p> {
         if eager {
             self.inject(id, ready);
         } else {
-            let alpha = if intra { self.model.alpha_intra_t() } else { self.model.alpha_inter_t() };
+            let alpha = if intra { self.alpha_intra } else { self.alpha_inter };
             self.push_event(ready + alpha, EventKind::RtsArrive { msg: id });
         }
     }
@@ -563,17 +694,17 @@ impl<'m, 'p> Exec<'m, 'p> {
             let m = &self.msgs[id as usize];
             (m.src, m.dst, m.bytes)
         };
-        let src_node = self.topo.node_of(src) as usize;
-        let dst_node = self.topo.node_of(dst) as usize;
+        let src_node = self.node[src as usize] as usize;
+        let dst_node = self.node[dst as usize] as usize;
         if src_node == dst_node {
             let dur = self.model.mem_time(bytes);
             let (_, copy_end) = self.mem[src_node].reserve(ready, dur);
             self.push_event(copy_end, EventKind::SenderDone { msg: id });
-            self.push_event(copy_end + self.model.alpha_intra_t(), EventKind::Delivery { msg: id });
+            self.push_event(copy_end + self.alpha_intra, EventKind::Delivery { msg: id });
         } else {
             let dur = self.model.rail_time(bytes);
             let (_, tx_end) = self.nic_tx[src_node].reserve(ready, dur);
-            let arrival = tx_end + self.model.alpha_inter_t();
+            let arrival = tx_end + self.alpha_inter;
             let (_, rx_end) = self.nic_rx[dst_node].reserve(arrival, dur);
             self.push_event(tx_end, EventKind::SenderDone { msg: id });
             self.push_event(rx_end, EventKind::Delivery { msg: id });
@@ -592,12 +723,7 @@ impl<'m, 'p> Exec<'m, 'p> {
         now: SimTime,
     ) {
         let key = match_key(src, tag);
-        let st = &mut self.ranks[rank as usize];
-        if let Entry::Occupied(mut e) = st.arrived.entry(key) {
-            let id = e.get_mut().pop_front().expect("arrived queues are never left empty");
-            if e.get().is_empty() {
-                e.remove();
-            }
+        if let Some(id) = self.ranks[rank as usize].arrived.take(key) {
             let (mbytes, rendezvous) = {
                 let m = &self.msgs[id as usize];
                 (m.bytes, m.rendezvous)
@@ -609,20 +735,14 @@ impl<'m, 'p> Exec<'m, 'p> {
             if rendezvous {
                 // RTS was waiting: grant the transfer now.
                 self.msgs[id as usize].recv_counts = counts_current;
-                let intra = self.topo.same_node(src, rank);
-                let alpha = if intra { self.model.alpha_intra_t() } else { self.model.alpha_inter_t() };
-                self.push_event(now + alpha, EventKind::CtsArrive { msg: id });
+                self.push_event(now + self.alpha(src, rank), EventKind::CtsArrive { msg: id });
             } else {
                 // Eager payload already buffered: pay the unexpected copy.
-                let done = now + self.model.o_recv_t() + self.model.unexpected_time(bytes);
+                let done = now + self.o_recv + self.model.unexpected_time(bytes);
                 self.finish_recv(id, rank, counts_current, done);
             }
         } else {
-            self.ranks[rank as usize]
-                .posted
-                .entry(key)
-                .or_default()
-                .push_back(PostedRecv { bytes, counts_current });
+            self.ranks[rank as usize].posted.push(key, PostedRecv { bytes, counts_current });
         }
     }
 
@@ -656,17 +776,13 @@ impl<'m, 'p> Exec<'m, 'p> {
         };
         if rendezvous {
             // Receive was matched at RTS/CTS time; complete it now.
-            let done = t + self.model.o_recv_t();
+            let done = t + self.o_recv;
             self.finish_recv(id, dst, recv_counts, done);
             return;
         }
         let key = match_key(src, tag);
         let st = &mut self.ranks[dst as usize];
-        if let Entry::Occupied(mut e) = st.posted.entry(key) {
-            let posted = e.get_mut().pop_front().expect("posted queues are never left empty");
-            if e.get().is_empty() {
-                e.remove();
-            }
+        if let Some(posted) = st.posted.take(key) {
             if posted.bytes != bytes {
                 self.error = Some(SimError::SizeMismatch {
                     src,
@@ -677,10 +793,10 @@ impl<'m, 'p> Exec<'m, 'p> {
                 });
                 return;
             }
-            let done = t + self.model.o_recv_t();
+            let done = t + self.o_recv;
             self.finish_recv(id, dst, posted.counts_current, done);
         } else {
-            st.arrived.entry(key).or_default().push_back(id);
+            st.arrived.push(key, id);
         }
     }
 
@@ -691,11 +807,7 @@ impl<'m, 'p> Exec<'m, 'p> {
         };
         let key = match_key(src, tag);
         let st = &mut self.ranks[dst as usize];
-        if let Entry::Occupied(mut e) = st.posted.entry(key) {
-            let posted = e.get_mut().pop_front().expect("posted queues are never left empty");
-            if e.get().is_empty() {
-                e.remove();
-            }
+        if let Some(posted) = st.posted.take(key) {
             if posted.bytes != bytes {
                 self.error = Some(SimError::SizeMismatch {
                     src,
@@ -707,11 +819,9 @@ impl<'m, 'p> Exec<'m, 'p> {
                 return;
             }
             self.msgs[id as usize].recv_counts = posted.counts_current;
-            let intra = self.topo.same_node(src, dst);
-            let alpha = if intra { self.model.alpha_intra_t() } else { self.model.alpha_inter_t() };
-            self.push_event(t + alpha, EventKind::CtsArrive { msg: id });
+            self.push_event(t + self.alpha(src, dst), EventKind::CtsArrive { msg: id });
         } else {
-            st.arrived.entry(key).or_default().push_back(id);
+            st.arrived.push(key, id);
         }
     }
 
@@ -729,7 +839,7 @@ impl<'m, 'p> Exec<'m, 'p> {
         };
         self.delivered += 1;
         self.recv_bytes[dst as usize] += bytes;
-        if self.topo.same_node(src, dst) {
+        if self.same_node(src, dst) {
             self.bytes_intra += bytes;
         } else {
             self.bytes_inter += bytes;
@@ -1114,6 +1224,57 @@ mod tests {
         assert!(r.finish[0].as_micros_f64() > 200.0);
     }
 
+    /// Several messages on one `(src, tag)` stream with distinct sizes
+    /// match in send order, whether the receives are posted before the
+    /// messages arrive or the messages arrive before the receives are
+    /// posted, eager and rendezvous, inter- and intra-node. Any other
+    /// matching order surfaces as a `SizeMismatch`.
+    #[test]
+    fn same_stream_matches_first_posted_with_first_arrived() {
+        let eager = [100u64, 200, 300];
+        let rendezvous = [20_000u64, 30_000, 40_000]; // above both test thresholds
+        let late = Instr::Compute { bytes: 2_000_000 }; // 1000 us
+        for (nodes, ppn) in [(2, 1), (1, 2)] {
+            for sizes in [eager, rendezvous] {
+                let total: u64 = sizes.iter().sum();
+                // Receives posted first, sends issued late and blocking.
+                let mut send = vec![late.clone()];
+                send.extend(sizes.iter().map(|&b| Instr::send(1, b, 5)));
+                let mut recv: Vec<Instr> =
+                    sizes.iter().map(|&b| Instr::IRecv { peer: 0, bytes: b, tag: 5 }).collect();
+                recv.push(Instr::WaitAll);
+                let r = run2(
+                    vec![Program::from_instrs(send), Program::from_instrs(recv)],
+                    nodes,
+                    ppn,
+                );
+                assert_eq!((r.messages, r.recv_bytes[1]), (3, total), "posted first {sizes:?}");
+
+                // Messages arrive first (nonblocking sends), receives late.
+                let mut send: Vec<Instr> =
+                    sizes.iter().map(|&b| Instr::ISend { peer: 1, bytes: b, tag: 5 }).collect();
+                send.push(Instr::WaitAll);
+                let mut recv = vec![late.clone()];
+                recv.extend(sizes.iter().map(|&b| Instr::recv(0, b, 5)));
+                let r = run2(
+                    vec![Program::from_instrs(send), Program::from_instrs(recv)],
+                    nodes,
+                    ppn,
+                );
+                assert_eq!((r.messages, r.recv_bytes[1]), (3, total), "arrived first {sizes:?}");
+
+                // Receiving the same stream in another order is an error.
+                let mut send = vec![late.clone()];
+                send.extend(sizes.iter().map(|&b| Instr::send(1, b, 5)));
+                let recv: Vec<Instr> = sizes.iter().rev().map(|&b| Instr::recv(0, b, 5)).collect();
+                let err = Simulator::new(&test_model(), &Topology::new(nodes, ppn))
+                    .run(&[Program::from_instrs(send), Program::from_instrs(recv)])
+                    .unwrap_err();
+                assert!(matches!(err, SimError::SizeMismatch { .. }), "reversed {sizes:?}: {err:?}");
+            }
+        }
+    }
+
     #[test]
     fn waitall_with_nothing_outstanding_is_free() {
         let r = run2(
@@ -1203,6 +1364,55 @@ mod tests {
         );
         assert_eq!(r.recv_bytes[2], 65536);
         assert_eq!(r.messages, 2 * 64);
+    }
+
+    /// The radix heap pops exactly as a binary heap ordered by
+    /// `(time, push sequence)` does, under a DES-like workload: each pop
+    /// schedules a few events at or after the popped time, many of them
+    /// tied, some far ahead.
+    #[test]
+    fn event_queue_pops_in_time_then_push_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut queue = EventQueue::new();
+        let mut reference = BinaryHeap::new();
+        let mut seq = 0u32;
+        let mut push = |q: &mut EventQueue, r: &mut BinaryHeap<_>, time: u64| {
+            q.push(Event { time: SimTime(time), kind: EventKind::Advance { rank: seq } });
+            r.push(Reverse((time, seq)));
+            seq += 1;
+        };
+        for _ in 0..64 {
+            let t = next() % 1000;
+            push(&mut queue, &mut reference, t);
+        }
+        let mut popped = 0;
+        while let Some(Reverse((time, id))) = reference.pop() {
+            let ev = queue.pop().expect("queue ran dry before the reference");
+            assert_eq!((ev.time.0, ev.kind), (time, EventKind::Advance { rank: id }), "pop {popped}");
+            popped += 1;
+            if popped < 20_000 {
+                for _ in 0..1 + next() % 2 {
+                    let r = next();
+                    let delta = match r % 4 {
+                        0 => 0,
+                        1 => r % 8,
+                        2 => r % 100_000,
+                        _ => r % (1 << 40),
+                    };
+                    push(&mut queue, &mut reference, time + delta);
+                }
+            }
+        }
+        assert!(queue.pop().is_none());
+        assert!(popped > 20_000, "only {popped} pops");
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub struct SimResult {
     pub finish: Vec<SimTime>,
     /// Per-rank start time (zero unless skew was injected).
     pub start: Vec<SimTime>,
-    /// Heap events processed.
+    /// Events processed.
     pub events: u64,
     /// Point-to-point messages fully delivered.
     pub messages: u64,

@@ -1,10 +1,12 @@
-//! Small utilities: a fast integer hash map for message matching.
+//! Small utilities: packed message-matching keys and a fast integer
+//! hash map.
 //!
-//! Message matching keys are dense `(source_rank, tag)` pairs packed into
-//! a `u64`; SipHash is needlessly slow for them. This multiplicative
-//! hasher (Fibonacci hashing on a 64-bit mix) is the standard fast choice
-//! for integer keys and keeps matching O(1) even for all-to-all schedules
-//! with thousands of concurrently posted receives.
+//! The engine matches messages on `(source_rank, tag)` pairs packed into
+//! one `u64` ([`match_key`]), so a match test is one integer compare.
+//! [`IntMap`] serves maps whose keys are already well-mixed or dense
+//! integers (the makespan memo's schedule fingerprints); SipHash is
+//! needlessly slow for them, and this SplitMix64-style finalizer is the
+//! standard fast choice.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
