@@ -38,6 +38,19 @@ fn load_with_cells(path: &str) -> Result<(SelectorArtifact, Vec<Instance>), Stri
     Ok((artifact, cells))
 }
 
+/// `n` distinct instances that are not grid cells: each grid cell with
+/// its message size shifted up by 1, 2, ... bytes. A daemon that has
+/// only seen the grid holds none of them in its cache.
+fn off_grid(cells: &[Instance], n: usize) -> Vec<Instance> {
+    (0..n)
+        .map(|i| {
+            let c = cells[i % cells.len()];
+            let shift = 1 + (i / cells.len()) as u64;
+            Instance::new(c.coll, c.msize + shift, c.nodes, c.ppn)
+        })
+        .collect()
+}
+
 /// Run `work(t)` for `t` in `0..threads` on scoped threads and return
 /// the results in thread order. Every thread is joined before the first
 /// error (or a panic, reported as a `what` thread panic) is returned.
@@ -571,8 +584,10 @@ fn wire_phase(
 /// 3. **Overload burst** (with `--overload-burst N`) — each
 ///    connection blasts N requests open-loop before reading a single
 ///    reply, pushing the daemon's admission queue past its cap. The
-///    phase asserts exactly one reply per request: shed and
-///    overloaded answers are counted, never dropped.
+///    daemon answers cached cells at admission, without the queue, so
+///    the burst asks for cells off the grid that no earlier phase
+///    warmed. The phase asserts exactly one reply per request: shed
+///    and overloaded answers are counted, never dropped.
 ///
 /// `--max-p99-ms` gates the overload phase's p99 round-trip (the
 /// pipelined phase's when no burst is requested). `--shutdown-server`
@@ -620,9 +635,12 @@ fn serve_bench_connect(args: &Args, addr: &str) -> Result<String, String> {
     // Phase 2: pipelined throughput.
     let pipe = wire_phase(addr, &key, &cells, threads, requests, window)?;
     // Phase 3: open-loop overload burst (window == burst: every
-    // request is sent before the first reply is read).
+    // request is sent before the first reply is read) of uncached cells.
     let overload = (overload_burst > 0)
-        .then(|| wire_phase(addr, &key, &cells, threads, overload_burst * threads, overload_burst))
+        .then(|| {
+            let burst = overload_burst * threads;
+            wire_phase(addr, &key, &off_grid(&cells, burst), threads, burst, overload_burst)
+        })
         .transpose()?;
     // The latency gate reads the harshest phase we ran.
     let gated_p99_ns = percentile(&overload.as_ref().unwrap_or(&pipe).lats, 99);

@@ -118,13 +118,14 @@ pub fn served(args: &Args) -> Result<String, String> {
     Ok(format!(
         "mpcp served: drained and stopped after {:.1}s\n\
          connections: {} total, {} closed idle\n\
-         requests:    {} decoded = {} accepted + {} shed + {} overloaded \
+         requests:    {} decoded = {} accepted ({} cached) + {} shed + {} overloaded \
          ({} error replies, {} in flight at exit)\n",
         t0.elapsed().as_secs_f64(),
         stats.connections_total,
         stats.idle_closed,
         stats.requests,
         stats.accepted,
+        stats.cached,
         stats.shed,
         stats.overloaded,
         stats.errors,

@@ -32,11 +32,12 @@ pub(super) fn flight_status_json() -> String {
 /// A daemon counter snapshot as a JSON fragment for the stats file.
 fn net_stats_json(n: &mpcp_serve::NetStatsSnapshot) -> String {
     format!(
-        "{{\"requests\":{},\"accepted\":{},\"shed\":{},\"overloaded\":{},\
+        "{{\"requests\":{},\"accepted\":{},\"cached\":{},\"shed\":{},\"overloaded\":{},\
          \"errors\":{},\"inflight\":{},\"connections_open\":{},\
          \"connections_total\":{},\"idle_closed\":{}}}",
         n.requests,
         n.accepted,
+        n.cached,
         n.shed,
         n.overloaded,
         n.errors,
@@ -123,12 +124,13 @@ fn render_top(doc: &mpcp_obs::json::JsonValue) -> Result<String, String> {
     if let Some(net) = doc.get("net") {
         if net.get("requests").is_some() {
             out.push_str(&format!(
-                "net:      conns {}/{}   reqs {}   accepted {}   shed {}   \
+                "net:      conns {}/{}   reqs {}   accepted {} ({} cached)   shed {}   \
                  overloaded {}   errors {}   inflight {}   idle-closed {}\n",
                 num(net, "connections_open"),
                 num(net, "connections_total"),
                 num(net, "requests"),
                 num(net, "accepted"),
+                num(net, "cached"),
                 num(net, "shed"),
                 num(net, "overloaded"),
                 num(net, "errors"),

@@ -373,16 +373,8 @@ pub trait Persist: Sized {
 
 /// Encode `value` inside a checksummed frame of the given `kind`.
 pub fn encode_framed<T: Persist>(kind: u8, value: &T) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    value.encode(&mut payload);
-    let payload = payload.into_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 25);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    append_framed(&mut out, kind, value);
     out
 }
 
@@ -475,9 +467,24 @@ pub fn check_frame_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), C
 /// Frames are self-delimiting (the header carries the payload length),
 /// so concatenating frames yields a valid multi-frame stream that
 /// [`FrameScanner`] can walk — this is the append primitive of the
-/// campaign store's checkpoint files.
+/// campaign store's checkpoint files and of the daemon's reply buffer.
+/// The payload is encoded in place behind a header whose length and
+/// checksum are filled in afterwards, so appending allocates nothing
+/// once `out` has the capacity.
 pub fn append_framed<T: Persist>(out: &mut Vec<u8>, kind: u8, value: &T) {
-    out.extend_from_slice(&encode_framed(kind, value));
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&[0u8; 16]); // payload length + checksum
+    let mut w = ByteWriter { buf: std::mem::take(out) };
+    value.encode(&mut w);
+    *out = w.buf;
+    let payload_start = start + FRAME_HEADER_LEN;
+    let len = (out.len() - payload_start) as u64;
+    let sum = fnv1a64(&out[payload_start..]);
+    out[start + 9..start + 17].copy_from_slice(&len.to_le_bytes());
+    out[start + 17..payload_start].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Streaming cursor over a concatenation of checksummed frames, as
@@ -885,6 +892,25 @@ mod tests {
         let bytes = encode_framed(KIND_CAMPAIGN_CHUNK, &b);
         let back: Blob = decode_framed(KIND_CAMPAIGN_CHUNK, &bytes).unwrap();
         assert_eq!(back, b);
+    }
+
+    #[test]
+    fn appended_frame_is_header_then_payload_after_existing_bytes() {
+        let b = blob(7);
+        let mut w = ByteWriter::new();
+        b.encode(&mut w);
+        let payload = w.into_bytes();
+        let mut want = b"prefix".to_vec();
+        want.extend_from_slice(&MAGIC);
+        want.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        want.push(KIND_CAMPAIGN_CHUNK);
+        want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        want.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        want.extend_from_slice(&payload);
+        let mut got = b"prefix".to_vec();
+        append_framed(&mut got, KIND_CAMPAIGN_CHUNK, &b);
+        assert_eq!(got, want);
+        assert_eq!(encode_framed(KIND_CAMPAIGN_CHUNK, &b), want[6..]);
     }
 
     #[test]

@@ -280,6 +280,27 @@ impl Shard {
         lock(&self.cache).get(&(instance.msize, instance.nodes, instance.ppn))
     }
 
+    /// The daemon's admission-time probe: a cache hit, counted (and
+    /// recorded in the telemetry windows) like a batch-path hit. A miss
+    /// or a collective mismatch touches no counter — the request then
+    /// goes through the batch path, which probes and counts it.
+    pub(crate) fn cached(&self, instance: &Instance) -> Option<Selection> {
+        if instance.coll != self.meta.collective {
+            return None;
+        }
+        let tel = self.telemetry.get();
+        let start_ns = tel.map_or(0, telemetry::ShardTelemetry::now_ns);
+        let sel = self.cache_lookup(instance)?;
+        // ORDERING: Relaxed — monotonic stat counter; readers only ever
+        // sum it, nothing is published under it.
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        mpcp_obs::counter_add!("serve.cache_hits", 1);
+        if let Some(tl) = tel {
+            tl.record_hit(start_ns, 1);
+        }
+        Some(sel)
+    }
+
     /// A minimal real shard (tiny KNN fixture, trained once per test
     /// binary) for routing-table tests.
     #[cfg(test)]
@@ -557,6 +578,12 @@ impl PredictionService {
             Some(shard) => shard.select(instance),
             None => Err(ServeError::UnknownShard { key: key.clone() }),
         })
+    }
+
+    /// The cached answer of the shard routed to by `key`, counted as a
+    /// hit ([`Shard::cached`]); `None` for a miss or an unknown shard.
+    pub(crate) fn cached(&self, key: &ShardKey, instance: &Instance) -> Option<Selection> {
+        self.shards.with(|map| map.get(key)?.cached(instance))
     }
 
     /// Answer an argmin query evaluating every model, bypassing (and

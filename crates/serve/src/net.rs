@@ -8,24 +8,35 @@
 //! replies come back in request order.
 //!
 //! Overload never queues without bound and never drops a connection:
-//! admission is the *bounded* [`BatchServer`] queue, and a request the
-//! queue refuses is **shed** — answered synchronously from the injected
-//! fallback ([`ShedFn`], the library-default decision logic) with the
-//! reply marked `degraded`. Only when even shedding is saturated
+//! a cache miss is admitted to the *bounded* [`BatchServer`] queue, and
+//! a miss the queue refuses is **shed** — answered synchronously from
+//! the injected fallback ([`ShedFn`], the library-default decision
+//! logic) with the reply marked `degraded`. Only when even shedding is saturated
 //! (`max_shed_inflight` concurrent fallback computations) does the
 //! daemon return a typed `overloaded` error, still a well-formed reply
 //! on the wire.
 //!
-//! Each connection gets a reader thread (decodes frames, admits or
-//! sheds) and a writer thread (resolves batch tickets with a deadline,
-//! encodes replies); an idle connection is closed after
+//! Each connection gets a reader thread and a writer thread, joined by
+//! a channel whose order is the reply order. The reader reads frames
+//! through one buffered reader, so a pipelined burst costs one `read`
+//! rather than two per frame. It answers a request whose cell the
+//! routed shard's LRU holds on the spot (a *cached* reply, still
+//! counted as accepted) and queues only misses; the hit still goes
+//! through the channel, behind every earlier reply. The writer
+//! resolves batch tickets under a deadline and encodes every reply
+//! into one buffer, written with a single `write_all` when the channel
+//! runs dry, before it blocks on an unresolved ticket, or once the
+//! buffer is full. Writing stays off the reader thread: a client that
+//! sends a whole burst before reading a reply would otherwise stall the
+//! reader in `write` while its own requests go unread. An idle
+//! connection, also one stalled mid-frame, is closed after
 //! `idle_timeout`. Shutdown — the wire `shutdown` op or
 //! [`NetServer::stop`] — stops accepting, half-closes every
 //! connection's read side, drains every accepted request to a written
 //! reply, and joins all threads.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -35,7 +46,7 @@ use std::time::{Duration, Instant};
 use mpcp_collectives::Collective;
 use mpcp_core::{Instance, Selection};
 use mpcp_ml::persist::{
-    check_frame_payload, encode_framed, read_frame_header, ByteReader, ByteWriter, CodecError,
+    append_framed, check_frame_payload, read_frame_header, ByteReader, ByteWriter, CodecError,
     Persist, FRAME_HEADER_LEN, KIND_NET_REQUEST, KIND_NET_RESPONSE,
 };
 
@@ -327,6 +338,16 @@ impl From<std::io::Error> for NetError {
 // Framed stream I/O (shared by client and server)
 // ---------------------------------------------------------------------
 
+/// Capacity of each connection's read buffer (server and client): a
+/// pipelined burst of frames costs one `read` per buffer-full, not two
+/// per frame.
+const READ_BUF: usize = 16 * 1024;
+
+/// Bytes of encoded replies beyond which the connection writer writes
+/// its buffer out even while more replies are ready, so a long burst
+/// neither holds every reply back nor grows the buffer without bound.
+const WRITE_BUF: usize = 16 * 1024;
+
 /// How a blocking frame read ended.
 enum ReadFrame<T> {
     /// A whole frame arrived and decoded.
@@ -339,65 +360,47 @@ enum ReadFrame<T> {
     Broken,
 }
 
-/// Read one framed message of `kind` from `stream`. Any outcome other
-/// than `Msg` means the caller should close the connection.
-fn read_frame<T: Persist>(stream: &mut TcpStream, kind: u8) -> ReadFrame<T> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) => {
-            return match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => ReadFrame::Eof,
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadFrame::Idle,
-                _ => ReadFrame::Broken,
-            };
+/// Why [`read_frame`] failed.
+enum FrameError {
+    /// The socket read failed (EOF, timeout, reset).
+    Io(std::io::Error),
+    /// The bytes are not a well-formed frame of the expected kind.
+    Codec(CodecError),
+}
+
+impl From<FrameError> for NetError {
+    fn from(e: FrameError) -> NetError {
+        match e {
+            FrameError::Io(e) => NetError::from(e),
+            FrameError::Codec(e) => NetError::Codec(e),
         }
-    }
-    let h = match read_frame_header(&header, kind) {
-        Ok(h) => h,
-        Err(_) => return ReadFrame::Broken,
-    };
-    if h.payload_len > MAX_PAYLOAD {
-        return ReadFrame::Broken;
-    }
-    let mut payload = vec![0u8; h.payload_len];
-    match stream.read_exact(&mut payload) {
-        Ok(()) => {}
-        Err(e) => {
-            return match e.kind() {
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadFrame::Idle,
-                _ => ReadFrame::Broken,
-            };
-        }
-    }
-    if check_frame_payload(&h, &payload).is_err() {
-        return ReadFrame::Broken;
-    }
-    let mut r = ByteReader::new(&payload);
-    match T::decode(&mut r) {
-        Ok(msg) if r.remaining() == 0 => ReadFrame::Msg(msg),
-        _ => ReadFrame::Broken,
     }
 }
 
-/// Client-side frame read mapping every failure to a typed error.
-fn read_frame_client<T: Persist>(stream: &mut TcpStream, kind: u8) -> Result<T, NetError> {
+/// Read one framed message of `kind` through the connection's buffered
+/// reader, reading the payload into the reused `payload` buffer.
+fn read_frame<T: Persist>(
+    reader: &mut BufReader<TcpStream>,
+    payload: &mut Vec<u8>,
+    kind: u8,
+) -> Result<T, FrameError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let h = read_frame_header(&header, kind)?;
+    reader.read_exact(&mut header).map_err(FrameError::Io)?;
+    let h = read_frame_header(&header, kind).map_err(FrameError::Codec)?;
     if h.payload_len > MAX_PAYLOAD {
-        return Err(NetError::Codec(CodecError::invalid(format!(
+        return Err(FrameError::Codec(CodecError::invalid(format!(
             "payload length {} exceeds the {MAX_PAYLOAD}-byte cap",
             h.payload_len
         ))));
     }
-    let mut payload = vec![0u8; h.payload_len];
-    stream.read_exact(&mut payload)?;
-    check_frame_payload(&h, &payload)?;
-    let mut r = ByteReader::new(&payload);
-    let msg = T::decode(&mut r)?;
+    payload.clear();
+    payload.resize(h.payload_len, 0);
+    reader.read_exact(payload).map_err(FrameError::Io)?;
+    check_frame_payload(&h, payload).map_err(FrameError::Codec)?;
+    let mut r = ByteReader::new(payload);
+    let msg = T::decode(&mut r).map_err(FrameError::Codec)?;
     if r.remaining() != 0 {
-        return Err(NetError::Codec(CodecError::invalid(format!(
+        return Err(FrameError::Codec(CodecError::invalid(format!(
             "{} undecoded byte(s) at end of message",
             r.remaining()
         ))));
@@ -405,8 +408,18 @@ fn read_frame_client<T: Persist>(stream: &mut TcpStream, kind: u8) -> Result<T, 
     Ok(msg)
 }
 
-fn write_frame<T: Persist>(stream: &mut TcpStream, kind: u8, msg: &T) -> std::io::Result<()> {
-    stream.write_all(&encode_framed(kind, msg))
+/// The server's view of [`read_frame`]: any outcome other than `Msg`
+/// means the connection closes.
+fn read_request(reader: &mut BufReader<TcpStream>, payload: &mut Vec<u8>) -> ReadFrame<NetRequest> {
+    match read_frame(reader, payload, KIND_NET_REQUEST) {
+        Ok(msg) => ReadFrame::Msg(msg),
+        Err(FrameError::Io(e)) => match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => ReadFrame::Eof,
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadFrame::Idle,
+            _ => ReadFrame::Broken,
+        },
+        Err(FrameError::Codec(_)) => ReadFrame::Broken,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -454,8 +467,13 @@ impl Default for NetConfig {
 pub struct NetStatsSnapshot {
     /// Select requests decoded off the wire.
     pub requests: u64,
-    /// Requests admitted to the batch queue.
+    /// Requests admitted: answered from the shard's cache at admission
+    /// or queued for a batch worker.
     pub accepted: u64,
+    /// Admitted requests answered from the shard's cache at admission,
+    /// without a queue slot, a worker or a ticket (a subset of
+    /// `accepted`).
+    pub cached: u64,
     /// Requests answered by the degraded fallback.
     pub shed: u64,
     /// Requests refused with a typed `overloaded` error.
@@ -473,6 +491,8 @@ pub struct NetStatsSnapshot {
 }
 
 struct NetShared {
+    /// Probed at admission for cache hits; misses go to `batch`.
+    service: Arc<PredictionService>,
     batch: BatchServer,
     shed: ShedFn,
     idle_timeout: Duration,
@@ -485,6 +505,7 @@ struct NetShared {
     next_conn: AtomicU64,
     requests: AtomicU64,
     accepted: AtomicU64,
+    cached: AtomicU64,
     shed_n: AtomicU64,
     overloaded: AtomicU64,
     errors: AtomicU64,
@@ -503,6 +524,7 @@ impl NetShared {
             // data is published under any of them.
             requests: self.requests.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
+            cached: self.cached.load(Ordering::Relaxed),
             shed: self.shed_n.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
@@ -526,12 +548,14 @@ impl NetShared {
     }
 }
 
-/// What the connection writer sends next, in request order.
+/// What the connection writer sends next, in request order. `t0` is
+/// the admission time, taken only while metrics are recorded.
 enum WriterItem {
-    /// An admitted request: resolve the ticket under the reply deadline.
-    Pending { req_id: u64, ticket: Ticket, t0: Instant },
-    /// An already-resolved reply (shed, error, or shutdown ack).
-    Ready { resp: NetResponse, t0: Instant },
+    /// A queued request: resolve the ticket under the reply deadline.
+    Pending { req_id: u64, ticket: Ticket, t0: Option<Instant> },
+    /// An already-resolved reply (cache hit, shed, error, or shutdown
+    /// ack).
+    Ready { resp: NetResponse, t0: Option<Instant> },
 }
 
 /// The serving daemon. Start with [`NetServer::start`]; stop with the
@@ -575,10 +599,11 @@ impl NetServer {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let batch = match gate {
-            None => BatchServer::start(service, cfg.batch),
-            Some(g) => BatchServer::start_with_gate(service, cfg.batch, g),
+            None => BatchServer::start(Arc::clone(&service), cfg.batch),
+            Some(g) => BatchServer::start_with_gate(Arc::clone(&service), cfg.batch, g),
         };
         let shared = Arc::new(NetShared {
+            service,
             batch,
             shed,
             idle_timeout: cfg.idle_timeout,
@@ -591,6 +616,7 @@ impl NetServer {
             next_conn: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
+            cached: AtomicU64::new(0),
             shed_n: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -746,7 +772,7 @@ fn close_conn(shared: &Arc<NetShared>, conn_id: u64) {
     }
 }
 
-fn conn_reader(shared: &Arc<NetShared>, mut stream: TcpStream, conn_id: u64) {
+fn conn_reader(shared: &Arc<NetShared>, stream: TcpStream, conn_id: u64) {
     let (tx, rx) = mpsc::channel::<WriterItem>();
     let writer = {
         let shared = Arc::clone(shared);
@@ -763,29 +789,19 @@ fn conn_reader(shared: &Arc<NetShared>, mut stream: TcpStream, conn_id: u64) {
         close_conn(shared, conn_id);
         return;
     };
+    let mut reader = BufReader::with_capacity(READ_BUF, stream);
+    let mut payload = Vec::new();
     loop {
-        match read_frame::<NetRequest>(&mut stream, KIND_NET_REQUEST) {
+        match read_request(&mut reader, &mut payload) {
             ReadFrame::Msg(NetRequest::Select { req_id, key, instance }) => {
-                let t0 = Instant::now();
+                let t0 = mpcp_obs::maybe_now();
                 // ORDERING: Relaxed — stat counters; the matching
                 // inflight decrement rides the writer channel, which
                 // is itself the synchronization edge.
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 shared.inflight.fetch_add(1, Ordering::Relaxed);
                 mpcp_obs::counter_add!("serve.net.requests", 1);
-                let item = match shared.batch.submit(key.clone(), instance) {
-                    Ok(ticket) => {
-                        // ORDERING: Relaxed — stat counter.
-                        shared.accepted.fetch_add(1, Ordering::Relaxed);
-                        mpcp_obs::counter_add!("serve.net.accepted", 1);
-                        WriterItem::Pending { req_id, ticket, t0 }
-                    }
-                    Err(ServeError::Overloaded) => {
-                        WriterItem::Ready { resp: shed_reply(shared, req_id, &key, &instance), t0 }
-                    }
-                    Err(e) => WriterItem::Ready { resp: error_reply(shared, req_id, &e), t0 },
-                };
-                if tx.send(item).is_err() {
+                if tx.send(admit(shared, req_id, key, instance, t0)).is_err() {
                     break; // writer died; nothing can be answered
                 }
             }
@@ -796,7 +812,7 @@ fn conn_reader(shared: &Arc<NetShared>, mut stream: TcpStream, conn_id: u64) {
                 shared.begin_stop();
                 let _ = tx.send(WriterItem::Ready {
                     resp: NetResponse::ShutdownAck { req_id },
-                    t0: Instant::now(),
+                    t0: None,
                 });
                 break;
             }
@@ -814,6 +830,39 @@ fn conn_reader(shared: &Arc<NetShared>, mut stream: TcpStream, conn_id: u64) {
     drop(tx);
     let _ = writer.join();
     close_conn(shared, conn_id);
+}
+
+/// Admit one select: answer a cache hit on the spot, queue a miss, or
+/// shed what the bounded queue refuses. A hit still goes to the writer
+/// through the channel, so it is written after every earlier request's
+/// reply.
+fn admit(
+    shared: &Arc<NetShared>,
+    req_id: u64,
+    key: ShardKey,
+    instance: Instance,
+    t0: Option<Instant>,
+) -> WriterItem {
+    if let Some(selection) = shared.service.cached(&key, &instance) {
+        // ORDERING: Relaxed — stat counters.
+        shared.accepted.fetch_add(1, Ordering::Relaxed);
+        shared.cached.fetch_add(1, Ordering::Relaxed);
+        mpcp_obs::counter_add!("serve.net.accepted", 1);
+        mpcp_obs::counter_add!("serve.net.cached", 1);
+        return WriterItem::Ready { resp: NetResponse::Ok { req_id, selection }, t0 };
+    }
+    match shared.batch.submit(key.clone(), instance) {
+        Ok(ticket) => {
+            // ORDERING: Relaxed — stat counter.
+            shared.accepted.fetch_add(1, Ordering::Relaxed);
+            mpcp_obs::counter_add!("serve.net.accepted", 1);
+            WriterItem::Pending { req_id, ticket, t0 }
+        }
+        Err(ServeError::Overloaded) => {
+            WriterItem::Ready { resp: shed_reply(shared, req_id, &key, &instance), t0 }
+        }
+        Err(e) => WriterItem::Ready { resp: error_reply(shared, req_id, &e), t0 },
+    }
 }
 
 /// Build the reply for a request the bounded queue refused: shed to the
@@ -857,37 +906,109 @@ fn error_reply(shared: &Arc<NetShared>, req_id: u64, e: &ServeError) -> NetRespo
     NetResponse::Err { req_id, code: error_code(e), message: e.to_string() }
 }
 
-fn conn_writer(shared: &Arc<NetShared>, mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>) {
-    // After a write failure the peer is gone: keep draining items (so
-    // tickets resolve and the inflight gauge stays balanced) without
-    // touching the socket.
-    let mut sink_only = false;
-    for item in rx.iter() {
-        let (resp, t0, counted) = match item {
-            WriterItem::Pending { req_id, ticket, t0 } => {
-                let resp = match ticket.wait_timeout(shared.reply_timeout) {
-                    Ok(sel) => NetResponse::Ok { req_id, selection: sel },
-                    Err(e) => error_reply(shared, req_id, &e),
-                };
-                (resp, t0, true)
-            }
-            WriterItem::Ready { resp, t0 } => {
-                let counted = !matches!(resp, NetResponse::ShutdownAck { .. });
-                (resp, t0, counted)
-            }
-        };
-        if !sink_only && write_frame(&mut stream, KIND_NET_RESPONSE, &resp).is_err() {
-            sink_only = true;
+/// The connection writer's output side: replies are encoded into one
+/// reused buffer and written out together.
+struct ReplyBuf {
+    stream: TcpStream,
+    out: Vec<u8>,
+    /// When each buffered counted reply was ready (metrics on only).
+    ready: Vec<Instant>,
+    /// Buffered replies that settle an `inflight` request.
+    counted: u64,
+    /// A write failed: the peer is gone. Replies are still drained (so
+    /// tickets resolve and the inflight gauge stays balanced) without
+    /// touching the socket.
+    broken: bool,
+}
+
+impl ReplyBuf {
+    /// Encode `resp`, admitted at `t0`, behind the replies already held.
+    fn push(&mut self, resp: &NetResponse, t0: Option<Instant>) {
+        if !self.broken {
+            append_framed(&mut self.out, KIND_NET_RESPONSE, resp);
         }
-        if counted {
-            // ORDERING: Relaxed — balances the reader's Relaxed
-            // increment; the channel hand-off orders the two.
-            shared.inflight.fetch_sub(1, Ordering::Relaxed);
-            let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-            mpcp_obs::hist_record!("serve.net.req_us", us);
+        if matches!(resp, NetResponse::ShutdownAck { .. }) {
+            return;
+        }
+        self.counted += 1;
+        if let Some(t0) = t0 {
+            let now = Instant::now();
+            mpcp_obs::hist_record!("serve.net.queue_us", micros(now - t0));
+            self.ready.push(now);
         }
     }
-    let _ = stream.shutdown(Shutdown::Write);
+
+    /// Write every held reply with one `write_all`.
+    fn flush(&mut self, shared: &NetShared) {
+        if !self.out.is_empty() && !self.broken && self.stream.write_all(&self.out).is_err() {
+            self.broken = true;
+        }
+        self.out.clear();
+        if !self.ready.is_empty() {
+            // Stamps exist only while metrics are recorded; one registry
+            // lookup serves the whole burst.
+            let hist = mpcp_obs::metrics::histogram("serve.net.write_us");
+            let now = Instant::now();
+            for ready in self.ready.drain(..) {
+                hist.record(micros(now - ready));
+            }
+        }
+        // ORDERING: Relaxed — balances the reader's Relaxed increments;
+        // the channel hand-off orders the two.
+        shared.inflight.fetch_sub(self.counted, Ordering::Relaxed);
+        self.counted = 0;
+    }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Write each reply in request order. Replies that are ready back to
+/// back share one `write_all`: the buffer goes out when the channel is
+/// empty, before blocking on a ticket that has not resolved, and when
+/// it passes [`WRITE_BUF`].
+fn conn_writer(shared: &Arc<NetShared>, stream: TcpStream, rx: &mpsc::Receiver<WriterItem>) {
+    let mut buf = ReplyBuf {
+        stream,
+        out: Vec::with_capacity(WRITE_BUF),
+        ready: Vec::new(),
+        counted: 0,
+        broken: false,
+    };
+    loop {
+        let item = match rx.try_recv() {
+            Ok(item) => item,
+            Err(mpsc::TryRecvError::Empty) => {
+                buf.flush(shared);
+                match rx.recv() {
+                    Ok(item) => item,
+                    Err(mpsc::RecvError) => break,
+                }
+            }
+            Err(mpsc::TryRecvError::Disconnected) => break,
+        };
+        let (resp, t0) = match item {
+            WriterItem::Pending { req_id, ticket, t0 } => {
+                let reply = ticket.try_take().unwrap_or_else(|| {
+                    buf.flush(shared);
+                    ticket.wait_timeout(shared.reply_timeout)
+                });
+                let resp = match reply {
+                    Ok(selection) => NetResponse::Ok { req_id, selection },
+                    Err(e) => error_reply(shared, req_id, &e),
+                };
+                (resp, t0)
+            }
+            WriterItem::Ready { resp, t0 } => (resp, t0),
+        };
+        buf.push(&resp, t0);
+        if buf.out.len() >= WRITE_BUF {
+            buf.flush(shared);
+        }
+    }
+    buf.flush(shared);
+    let _ = buf.stream.shutdown(Shutdown::Write);
 }
 
 // ---------------------------------------------------------------------
@@ -920,7 +1041,15 @@ pub enum Reply {
 /// queue sends with [`NetClient::send_select`], then collect replies in
 /// request order with [`NetClient::recv`].
 pub struct NetClient {
+    /// Write half: each request goes out as soon as it is sent.
     stream: TcpStream,
+    /// Read half (a clone of `stream`), buffered so a run of replies
+    /// costs one `read`.
+    reader: BufReader<TcpStream>,
+    /// Reused request encoding buffer.
+    out: Vec<u8>,
+    /// Reused reply payload buffer.
+    payload: Vec<u8>,
     next_id: u64,
 }
 
@@ -929,7 +1058,16 @@ impl NetClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<NetClient, NetError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(NetClient { stream, next_id: 1 })
+        let reader = BufReader::with_capacity(READ_BUF, stream.try_clone()?);
+        Ok(NetClient { stream, reader, out: Vec::new(), payload: Vec::new(), next_id: 1 })
+    }
+
+    /// Write one request frame now.
+    fn send(&mut self, req: &NetRequest) -> Result<(), NetError> {
+        self.out.clear();
+        append_framed(&mut self.out, KIND_NET_REQUEST, req);
+        self.stream.write_all(&self.out)?;
+        Ok(())
     }
 
     /// Cap how long [`NetClient::recv`] blocks (None restores blocking).
@@ -942,15 +1080,13 @@ impl NetClient {
     pub fn send_select(&mut self, key: &ShardKey, instance: &Instance) -> Result<u64, NetError> {
         let req_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        let req =
-            NetRequest::Select { req_id, key: key.clone(), instance: *instance };
-        write_frame(&mut self.stream, KIND_NET_REQUEST, &req)?;
+        self.send(&NetRequest::Select { req_id, key: key.clone(), instance: *instance })?;
         Ok(req_id)
     }
 
     /// Read the next reply (replies arrive in request order).
     pub fn recv(&mut self) -> Result<(u64, Reply), NetError> {
-        let resp: NetResponse = read_frame_client(&mut self.stream, KIND_NET_RESPONSE)?;
+        let resp: NetResponse = read_frame(&mut self.reader, &mut self.payload, KIND_NET_RESPONSE)?;
         let id = resp.req_id();
         let reply = match resp {
             NetResponse::Ok { selection, .. } => Reply::Selection { selection, shed: false },
@@ -988,7 +1124,7 @@ impl NetClient {
     pub fn shutdown_server(&mut self) -> Result<(), NetError> {
         let req_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        write_frame(&mut self.stream, KIND_NET_REQUEST, &NetRequest::Shutdown { req_id })?;
+        self.send(&NetRequest::Shutdown { req_id })?;
         loop {
             let (id, reply) = self.recv()?;
             if id == req_id && matches!(reply, Reply::ShutdownAck) {
@@ -1001,6 +1137,7 @@ impl NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpcp_ml::persist::encode_framed;
 
     fn sample_request() -> NetRequest {
         NetRequest::Select {

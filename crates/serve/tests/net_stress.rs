@@ -2,8 +2,10 @@
 //! multi-connection load with bit-identity against the in-process
 //! service, deterministic overload (wedged workers) that sheds
 //! degraded answers instead of dropping or panicking, typed
-//! `overloaded` errors once shedding saturates, idle-timeout
-//! housekeeping, and clean shutdown with zero leaked threads.
+//! `overloaded` errors once shedding saturates, cache hits answered at
+//! admission still in request order, pipelined and byte-dribbled
+//! framing, idle-timeout housekeeping (also mid-frame), and clean
+//! shutdown with zero leaked threads.
 
 // The shared integration fixture: the grid is benchmarked once per
 // binary and each learner's selector is trained once, saved, and
@@ -12,13 +14,19 @@
 mod fixture;
 
 use std::collections::VecDeque;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mpcp_collectives::Collective;
 use mpcp_core::{Instance, Selection};
+use mpcp_ml::persist::{
+    decode_framed, encode_framed, read_frame_header, FRAME_HEADER_LEN, KIND_NET_REQUEST,
+    KIND_NET_RESPONSE,
+};
 use mpcp_ml::Learner;
-use mpcp_serve::net::{ERR_OVERLOADED, ERR_TIMEOUT};
+use mpcp_serve::net::{NetRequest, NetResponse, ERR_OVERLOADED, ERR_TIMEOUT};
 use mpcp_serve::{
     BatchConfig, NetClient, NetConfig, NetServer, PredictionService, Reply, ShardKey, ShedFn,
 };
@@ -82,10 +90,13 @@ fn grid(coll: Collective) -> Vec<Instance> {
 /// starts and retires those threads on its own schedule — also while
 /// another test holds `NET_LOCK` between its baseline and its drain
 /// check.
-const TESTS: [&str; 5] = [
+const TESTS: [&str; 8] = [
     "sustained_multi_connection_load_is_lossless_and_bit_identical",
     "wedged_workers_shed_degraded_answers_and_never_drop",
     "saturated_shedding_degrades_to_typed_overloaded_errors",
+    "cache_hits_wait_behind_a_timed_out_miss",
+    "pipelined_and_dribbled_frames_are_answered_in_order",
+    "mid_frame_stalls_are_closed_by_the_idle_timeout",
     "idle_connections_are_reaped_and_shutdown_leaks_nothing",
     "wire_shutdown_op_stops_the_daemon_for_all_clients",
 ];
@@ -110,6 +121,35 @@ fn thread_count() -> usize {
             !harness.contains(&comm.trim_end())
         })
         .count()
+}
+
+/// Assert `got` is bit-identical to the in-process uncached answer.
+fn assert_bit_identical(svc: &PredictionService, key: &ShardKey, inst: &Instance, got: &Selection) {
+    let want = svc.select_uncached(key, inst).unwrap();
+    assert_eq!(got.uid, want.uid, "{inst}");
+    assert_eq!(
+        got.predicted_us.map(f64::to_bits),
+        want.predicted_us.map(f64::to_bits),
+        "{inst}"
+    );
+    assert_eq!(got.degraded, want.degraded, "{inst}");
+}
+
+/// One select request frame, as a client would put it on the wire.
+fn select_frame(req_id: u64, key: &ShardKey, instance: Instance) -> Vec<u8> {
+    encode_framed(KIND_NET_REQUEST, &NetRequest::Select { req_id, key: key.clone(), instance })
+}
+
+/// Read one whole reply frame off a raw socket.
+fn read_response(stream: &mut TcpStream) -> NetResponse {
+    let mut frame = vec![0u8; FRAME_HEADER_LEN];
+    stream.read_exact(&mut frame).unwrap();
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header.copy_from_slice(&frame);
+    let h = read_frame_header(&header, KIND_NET_RESPONSE).unwrap();
+    frame.resize(FRAME_HEADER_LEN + h.payload_len, 0);
+    stream.read_exact(&mut frame[FRAME_HEADER_LEN..]).unwrap();
+    decode_framed(KIND_NET_RESPONSE, &frame).unwrap()
 }
 
 /// Poll until the process thread count drops back to `baseline`
@@ -174,15 +214,7 @@ fn sustained_multi_connection_load_is_lossless_and_bit_identical() {
                                 shed += 1;
                             }
                             Reply::Selection { selection, shed: false } => {
-                                // Bit-identical to the in-process path.
-                                let want = svc.select_uncached(key, &inst).unwrap();
-                                assert_eq!(selection.uid, want.uid, "{inst}");
-                                assert_eq!(
-                                    selection.predicted_us.map(f64::to_bits),
-                                    want.predicted_us.map(f64::to_bits),
-                                    "{inst}"
-                                );
-                                assert_eq!(selection.degraded, want.degraded, "{inst}");
+                                assert_bit_identical(svc, key, &inst, &selection);
                                 ok += 1;
                             }
                             Reply::Error { code, message } => {
@@ -348,6 +380,148 @@ fn saturated_shedding_degrades_to_typed_overloaded_errors() {
     gate.release();
     drop(client);
     server.join();
+    assert_threads_drain_to(baseline);
+}
+
+#[test]
+fn cache_hits_wait_behind_a_timed_out_miss() {
+    let _serial = NET_LOCK.lock().unwrap();
+    let (svc, key, coll) = fixture_service();
+    let baseline = thread_count();
+    let gate = Gate::new();
+    let server = NetServer::start_with_gate(
+        Arc::clone(&svc),
+        always_shed(),
+        NetConfig {
+            batch: BatchConfig { workers: 1, max_batch: 4, max_queue: 4 },
+            reply_timeout: Duration::from_millis(200),
+            ..NetConfig::default()
+        },
+        gate.as_fn(),
+    )
+    .unwrap();
+
+    // Warm one cell in-process; the wedged worker can answer nothing.
+    let warm = Instance::new(coll, 4096, 3, 2);
+    let cold = Instance::new(coll, 8192, 5, 3);
+    svc.select(&key, &warm).unwrap();
+
+    // The hit is answered at admission, but its reply must still wait
+    // for the earlier miss's timeout: replies keep request order.
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let miss = client.send_select(&key, &cold).unwrap();
+    let hit = client.send_select(&key, &warm).unwrap();
+    let first = client.recv();
+    let second = client.recv();
+    let (stats, cache) = (server.stats(), svc.stats());
+    // Unwedge before asserting: a failed assertion must not leave the
+    // daemon's drop joining a worker stuck in the gate.
+    gate.release();
+
+    let (id, reply) = first.unwrap();
+    assert_eq!(id, miss, "the miss is answered first");
+    assert!(matches!(reply, Reply::Error { code: ERR_TIMEOUT, .. }), "{reply:?}");
+    let (id, reply) = second.unwrap();
+    assert_eq!(id, hit);
+    match reply {
+        Reply::Selection { selection, shed: false } => {
+            assert_bit_identical(&svc, &key, &warm, &selection);
+        }
+        other => panic!("the warm cell must be answered from the cache, got {other:?}"),
+    }
+    assert_eq!((stats.requests, stats.accepted, stats.cached), (2, 2, 1), "{stats:?}");
+    assert_eq!(stats.errors, 1, "{stats:?}");
+    assert_eq!((cache.hits(), cache.misses()), (1, 1), "warm-up miss, admission hit");
+
+    drop(client);
+    let stats = server.join();
+    assert_eq!(stats.inflight, 0, "drained: {stats:?}");
+    assert_threads_drain_to(baseline);
+}
+
+#[test]
+fn pipelined_and_dribbled_frames_are_answered_in_order() {
+    let _serial = NET_LOCK.lock().unwrap();
+    let (svc, key, coll) = fixture_service();
+    let cells = grid(coll);
+    let baseline = thread_count();
+    let server =
+        NetServer::start(Arc::clone(&svc), always_shed(), NetConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let expect = |stream: &mut TcpStream, id: u64, inst: &Instance| {
+        match read_response(stream) {
+            NetResponse::Ok { req_id, selection } => {
+                assert_eq!(req_id, id, "replies arrive in request order");
+                assert_bit_identical(&svc, &key, inst, &selection);
+            }
+            other => panic!("request {id}: expected a selection, got {other:?}"),
+        }
+    };
+
+    // 64 frames in one write: the daemon reads them as one burst.
+    let reqs: Vec<(u64, Instance)> =
+        (0..64).map(|i| (i as u64 + 1, cells[i % cells.len()])).collect();
+    let burst: Vec<u8> =
+        reqs.iter().flat_map(|(id, inst)| select_frame(*id, &key, *inst)).collect();
+    stream.write_all(&burst).unwrap();
+    for (id, inst) in &reqs {
+        expect(&mut stream, *id, inst);
+    }
+    // One more frame, a byte at a time, so every read ends mid-frame.
+    // Its cell was answered in the burst: this one is a cache hit.
+    let inst = cells[5];
+    for b in select_frame(100, &key, inst) {
+        stream.write_all(&[b]).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    expect(&mut stream, 100, &inst);
+
+    drop(stream);
+    let stats = server.join();
+    assert_eq!((stats.requests, stats.accepted), (65, 65), "{stats:?}");
+    assert!(stats.cached >= 1, "the dribbled repeat is answered at admission: {stats:?}");
+    assert_eq!((stats.shed, stats.errors, stats.inflight), (0, 0, 0), "{stats:?}");
+    assert_threads_drain_to(baseline);
+}
+
+#[test]
+fn mid_frame_stalls_are_closed_by_the_idle_timeout() {
+    let _serial = NET_LOCK.lock().unwrap();
+    let (svc, key, coll) = fixture_service();
+    let baseline = thread_count();
+    let server = NetServer::start(
+        Arc::clone(&svc),
+        always_shed(),
+        NetConfig { idle_timeout: Duration::from_millis(100), ..NetConfig::default() },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // One connection stops inside the header, one inside the payload.
+    let frame = select_frame(1, &key, Instance::new(coll, 4096, 3, 2));
+    let mut stalled = Vec::new();
+    for cut in [10, FRAME_HEADER_LEN + 5] {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&frame[..cut]).unwrap();
+        stalled.push(s);
+    }
+    let t0 = Instant::now();
+    while server.stats().idle_closed < 2 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "idle reap never fired");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for mut s in stalled {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut byte = [0u8; 1];
+        assert!(matches!(s.read(&mut byte), Ok(0)), "the daemon closed the stalled connection");
+    }
+
+    let stats = server.join();
+    assert_eq!(stats.idle_closed, 2, "{stats:?}");
+    assert_eq!((stats.requests, stats.connections_open), (0, 0), "{stats:?}");
     assert_threads_drain_to(baseline);
 }
 
