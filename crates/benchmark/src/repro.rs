@@ -78,6 +78,8 @@ pub fn measure(
 
 /// Median of an already-sorted, non-empty slice: middle element for odd
 /// counts, arithmetic mean of the two middle elements for even counts.
+/// The reference [`summary_stats`] is tested against.
+#[cfg(test)]
 fn median_of_sorted(sorted: &[f64]) -> f64 {
     debug_assert!(!sorted.is_empty(), "median of zero observations");
     if sorted.len() % 2 == 1 {
@@ -85,6 +87,53 @@ fn median_of_sorted(sorted: &[f64]) -> f64 {
     } else {
         0.5 * (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2])
     }
+}
+
+/// Median, mean and minimum of a set of observations.
+#[derive(Clone, Copy, Debug)]
+struct SummaryStats {
+    median: f64,
+    mean: f64,
+    min: f64,
+}
+
+/// Summarize a non-empty set of observations, bit for bit as sorting a
+/// copy with `f64::total_cmp` and reading it would: the mean sums in
+/// draw order (as `Iterator::sum` does), the minimum is the first
+/// element in `total_cmp` order, and the median is the middle element,
+/// or the mean of the two middle elements for an even count. `obs` is
+/// left permuted. `total_cmp` makes a NaN observation (impossible
+/// noise, corrupt input) order deterministically instead of panicking
+/// mid-benchmark.
+///
+/// One pass computes the mean and the minimum; the median comes from
+/// `select_nth_unstable_by`, which puts the upper middle element in
+/// place with everything below it to its left, so for an even count the
+/// lower middle element is the largest of that left part. `total_cmp`
+/// is a total order that only calls bit-identical values equal, so
+/// which of several tied elements lands where cannot change a bit of
+/// the result.
+fn summary_stats(obs: &mut [f64]) -> SummaryStats {
+    debug_assert!(!obs.is_empty(), "summary of zero observations");
+    // -0.0 is the identity of `+` (0.0 + -0.0 is 0.0), and the start
+    // value `Iterator::sum` uses for floats.
+    let mut sum = -0.0;
+    let mut min = obs[0];
+    for &o in obs.iter() {
+        sum += o;
+        if o.total_cmp(&min).is_lt() {
+            min = o;
+        }
+    }
+    let n = obs.len();
+    let (lower, &mut upper, _) = obs.select_nth_unstable_by(n / 2, f64::total_cmp);
+    let median = if n % 2 == 1 {
+        upper
+    } else {
+        let below = lower.iter().copied().max_by(f64::total_cmp).expect("n >= 2 when even");
+        0.5 * (below + upper)
+    };
+    SummaryStats { median, mean: sum / n as f64, min }
 }
 
 /// The repetition loop around a known base time (exposed separately so
@@ -118,20 +167,16 @@ pub fn summarize(
         consumed += cost;
         obs.push(o);
     }
-    let mut sorted = obs.clone();
-    // total_cmp: a NaN observation (impossible noise, corrupt input)
-    // must order deterministically instead of panicking mid-benchmark.
-    sorted.sort_by(f64::total_cmp);
-    let median = median_of_sorted(&sorted);
+    let stats = summary_stats(&mut obs);
     mpcp_obs::counter_add!("bench.cells", 1);
     mpcp_obs::counter_add!("bench.reps", obs.len() as u64);
     mpcp_obs::counter_add!("bench.consumed_ns", consumed.picos() / 1000);
     mpcp_obs::hist_record!("bench.cell.reps", obs.len() as u64);
     Measurement {
         base,
-        median_secs: median,
-        mean_secs: obs.iter().sum::<f64>() / obs.len() as f64,
-        min_secs: sorted[0],
+        median_secs: stats.median,
+        mean_secs: stats.mean,
+        min_secs: stats.min,
         reps: obs.len() as u32,
         consumed,
     }
@@ -141,6 +186,7 @@ pub fn summarize(
 mod tests {
     use super::*;
     use mpcp_simnet::{Instr, Machine};
+    use proptest::prelude::*;
 
     #[test]
     fn small_cells_hit_max_reps() {
@@ -269,6 +315,48 @@ mod tests {
         let mut obs: Vec<f64> = (0..4).map(|_| noise.observe(base.as_secs_f64(), &mut s2)).collect();
         obs.sort_by(f64::total_cmp);
         assert_eq!(m.median_secs, 0.5 * (obs[1] + obs[2]));
+    }
+
+    /// Any `f64`: raw bit patterns (every NaN payload and sign
+    /// included), the special values, and a few small integers so that
+    /// ties are common.
+    fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            prop::sample::select(vec![
+                0.0,
+                -0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+            ]),
+            (-3i32..4).prop_map(f64::from),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The selection-based summary equals the sort-based reference
+        /// bit for bit, on odd and even counts alike.
+        #[test]
+        fn summary_stats_equal_the_sorted_reference(
+            obs in prop::collection::vec(any_f64(), 1..40),
+            extra in any_f64(),
+        ) {
+            for obs in [obs.clone(), [obs, vec![extra]].concat()] {
+                let mut sorted = obs.clone();
+                sorted.sort_by(f64::total_cmp);
+                let mean = obs.iter().sum::<f64>() / obs.len() as f64;
+                let stats = summary_stats(&mut obs.clone());
+                prop_assert_eq!(stats.median.to_bits(), median_of_sorted(&sorted).to_bits());
+                prop_assert_eq!(stats.mean.to_bits(), mean.to_bits());
+                prop_assert_eq!(stats.min.to_bits(), sorted[0].to_bits());
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! representative's `(algorithm, message size)` and its outcome — so it
 //! stays a few bytes per distinct schedule.
 
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
-use mpcp_simnet::util::IntMap;
+use mpcp_simnet::util::{IntHasher, IntMap};
 use mpcp_simnet::{NetworkModel, Program, SimError, SimTime, Simulator, Topology};
 
 use crate::coll::{AlgKind, AlgorithmConfig};
@@ -43,7 +43,7 @@ pub struct MakespanMemo<'m> {
 
 /// 64-bit fingerprint of a schedule.
 fn fingerprint(progs: &[Program]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = IntHasher::default();
     progs.hash(&mut h);
     h.finish()
 }

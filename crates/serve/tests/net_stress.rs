@@ -16,7 +16,7 @@ mod fixture;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mpcp_collectives::Collective;
@@ -62,6 +62,18 @@ impl Gate {
                 open = g.cv.wait(open).unwrap();
             }
         })
+    }
+}
+
+/// Releases a gate when dropped. Declared after the server its gate
+/// wedges, it drops first when a failed assertion unwinds the test, so
+/// the server's drop never joins a worker stuck in the gate: the test
+/// fails instead of hanging.
+struct ReleaseOnDrop(Arc<Gate>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -171,7 +183,7 @@ fn assert_threads_drain_to(baseline: usize) {
 
 #[test]
 fn sustained_multi_connection_load_is_lossless_and_bit_identical() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
@@ -250,7 +262,7 @@ fn sustained_multi_connection_load_is_lossless_and_bit_identical() {
 
 #[test]
 fn wedged_workers_shed_degraded_answers_and_never_drop() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
@@ -267,6 +279,7 @@ fn wedged_workers_shed_degraded_answers_and_never_drop() {
         gate.as_fn(),
     )
     .unwrap();
+    let _unwedge = ReleaseOnDrop(Arc::clone(&gate));
     let addr = server.local_addr();
 
     // 4 connections blast open-loop bursts at a 2-slot admission queue
@@ -336,7 +349,7 @@ fn wedged_workers_shed_degraded_answers_and_never_drop() {
 
 #[test]
 fn saturated_shedding_degrades_to_typed_overloaded_errors() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
@@ -355,6 +368,7 @@ fn saturated_shedding_degrades_to_typed_overloaded_errors() {
         gate.as_fn(),
     )
     .unwrap();
+    let _unwedge = ReleaseOnDrop(Arc::clone(&gate));
 
     let mut client = NetClient::connect(server.local_addr()).unwrap();
     let mut ids = VecDeque::new();
@@ -385,7 +399,7 @@ fn saturated_shedding_degrades_to_typed_overloaded_errors() {
 
 #[test]
 fn cache_hits_wait_behind_a_timed_out_miss() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let baseline = thread_count();
     let gate = Gate::new();
@@ -441,7 +455,7 @@ fn cache_hits_wait_behind_a_timed_out_miss() {
 
 #[test]
 fn pipelined_and_dribbled_frames_are_answered_in_order() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
@@ -489,7 +503,7 @@ fn pipelined_and_dribbled_frames_are_answered_in_order() {
 
 #[test]
 fn mid_frame_stalls_are_closed_by_the_idle_timeout() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let baseline = thread_count();
     let server = NetServer::start(
@@ -527,7 +541,7 @@ fn mid_frame_stalls_are_closed_by_the_idle_timeout() {
 
 #[test]
 fn idle_connections_are_reaped_and_shutdown_leaks_nothing() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let baseline = thread_count();
     let server = NetServer::start(
@@ -562,7 +576,7 @@ fn idle_connections_are_reaped_and_shutdown_leaks_nothing() {
 
 #[test]
 fn wire_shutdown_op_stops_the_daemon_for_all_clients() {
-    let _serial = NET_LOCK.lock().unwrap();
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let baseline = thread_count();
     let server =

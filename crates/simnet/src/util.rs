@@ -1,17 +1,22 @@
-//! Small utilities: packed message-matching keys and a fast integer
-//! hash map.
+//! Small utilities: packed message-matching keys and a fast
+//! non-cryptographic hasher.
 //!
 //! The engine matches messages on `(source_rank, tag)` pairs packed into
 //! one `u64` ([`match_key`]), so a match test is one integer compare.
-//! [`IntMap`] serves maps whose keys are already well-mixed or dense
-//! integers (the makespan memo's schedule fingerprints); SipHash is
-//! needlessly slow for them, and this SplitMix64-style finalizer is the
-//! standard fast choice.
+//! [`IntHasher`] serves keys that need no protection from adversarial
+//! input: the makespan memo's schedule fingerprints (a `Hash` walk over
+//! whole rank programs) and the [`IntMap`] it files them in. SipHash is
+//! needlessly slow for both.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiplicative hasher for small integer keys.
+/// Fast hasher for integer keys and streams of integer words.
+///
+/// Each word is folded into the state with one rotate, xor and multiply
+/// (the FxHash step), so a multi-word input depends on every word and
+/// on their order; [`Hasher::finish`] then applies the SplitMix64
+/// finalizer, so even a single word avalanches into every output bit.
 #[derive(Default)]
 pub struct IntHasher {
     state: u64,
@@ -20,24 +25,24 @@ pub struct IntHasher {
 impl Hasher for IntHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        // SplitMix64 finalizer: full avalanche.
+        let mut z = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        // Generic path (rarely used): fold bytes into the state.
+        // Generic path (rarely used): one word per byte.
         for &b in bytes {
-            self.state = (self.state ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            self.write_u64(b as u64);
         }
     }
 
     #[inline]
     fn write_u64(&mut self, i: u64) {
-        // SplitMix64-style finalizer: full-avalanche, one multiply chain.
-        let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.state = z ^ (z >> 31);
+        self.state = (self.state.rotate_left(5) ^ i).wrapping_mul(0x517C_C1B7_2722_0A95);
     }
 
     #[inline]
@@ -81,6 +86,36 @@ mod tests {
             assert_eq!(m.get(&match_key(i, i * 3)), Some(&i));
         }
         assert_eq!(m.len(), 1000);
+    }
+
+    fn hash_words(words: &[u64]) -> u64 {
+        let mut h = IntHasher::default();
+        for &w in words {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn every_word_of_a_multi_word_input_counts() {
+        // Changing any one word, or the order of two, changes the hash.
+        let base = [3u64, 1 << 40, 7, 0, u64::MAX];
+        let h = hash_words(&base);
+        for i in 0..base.len() {
+            let mut w = base;
+            w[i] ^= 1;
+            assert_ne!(hash_words(&w), h, "word {i} is ignored");
+        }
+        assert_ne!(hash_words(&[1, 2]), hash_words(&[2, 1]));
+        // Hashing a program list goes through the same word stream.
+        use crate::program::{Instr, Program};
+        use std::hash::Hash;
+        let fp = |bytes: u64| {
+            let mut h = IntHasher::default();
+            vec![Program::from_instrs(vec![Instr::send(1, bytes, 0)]), Program::empty()].hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(fp(16), fp(32));
     }
 
     #[test]
