@@ -37,9 +37,6 @@ pub struct NodeServers {
     free_at: Vec<SimTime>,
     rails: usize,
     stride: usize,
-    /// Total busy time accumulated across all servers (for utilization
-    /// stats).
-    busy: SimTime,
 }
 
 impl NodeServers {
@@ -49,7 +46,7 @@ impl NodeServers {
         assert!(rails > 0 && mem_channels > 0, "a resource needs at least one server");
         let rails = rails as usize;
         let stride = 2 * rails + mem_channels as usize;
-        NodeServers { free_at: vec![SimTime::ZERO; nodes * stride], rails, stride, busy: SimTime::ZERO }
+        NodeServers { free_at: vec![SimTime::ZERO; nodes * stride], rails, stride }
     }
 
     /// Where `node`'s servers for `port` sit in `free_at`.
@@ -91,26 +88,7 @@ impl NodeServers {
         let start = earliest.max(best_t);
         let end = start + duration;
         servers[best] = end;
-        self.busy += duration;
         (start, end)
-    }
-
-    /// Number of parallel servers of `port` on each node.
-    #[inline]
-    pub fn servers(&self, port: Port) -> usize {
-        self.slots(0, port).len()
-    }
-
-    /// Total accumulated service time across all servers.
-    #[inline]
-    pub fn total_busy(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Reset all servers to idle at t = 0 (reuse between simulations).
-    pub fn reset(&mut self) {
-        self.free_at.fill(SimTime::ZERO);
-        self.busy = SimTime::ZERO;
     }
 }
 
@@ -150,14 +128,15 @@ mod tests {
 
     #[test]
     fn busy_accounting() {
+        // Each channel is busy for exactly its reservations: a grant
+        // starts when the channel it lands on frees up.
         let mut r = NodeServers::new(1, 1, 2);
-        r.reserve(0, Port::Mem, SimTime(0), SimTime(30));
-        r.reserve(0, Port::Mem, SimTime(0), SimTime(70));
-        assert_eq!(r.total_busy(), SimTime(100));
-        r.reset();
-        assert_eq!(r.total_busy(), SimTime::ZERO);
-        let (s, _) = r.reserve(0, Port::Mem, SimTime(0), SimTime(5));
-        assert_eq!(s, SimTime(0));
+        assert_eq!(r.reserve(0, Port::Mem, SimTime(0), SimTime(30)), (SimTime(0), SimTime(30)));
+        assert_eq!(r.reserve(0, Port::Mem, SimTime(0), SimTime(70)), (SimTime(0), SimTime(70)));
+        assert_eq!(r.reserve(0, Port::Mem, SimTime(0), SimTime(40)), (SimTime(30), SimTime(70)));
+        assert_eq!(r.reserve(0, Port::Mem, SimTime(0), SimTime(5)), (SimTime(70), SimTime(75)));
+        assert_eq!(r.reserve(0, Port::Mem, SimTime(0), SimTime(5)), (SimTime(70), SimTime(75)));
+        assert_eq!(r.reserve(0, Port::Mem, SimTime(0), SimTime(5)), (SimTime(75), SimTime(80)));
     }
 
     #[test]
@@ -176,11 +155,10 @@ mod tests {
     #[test]
     fn nodes_and_ports_do_not_share_servers() {
         let mut r = NodeServers::new(3, 2, 4);
-        assert_eq!((r.servers(Port::NicTx), r.servers(Port::NicRx), r.servers(Port::Mem)), (2, 2, 4));
         for node in 0..3 {
-            for port in [Port::NicTx, Port::NicRx, Port::Mem] {
+            for (port, servers) in [(Port::NicTx, 2), (Port::NicRx, 2), (Port::Mem, 4)] {
                 // Fill every server of this (node, port) ...
-                for _ in 0..r.servers(port) {
+                for _ in 0..servers {
                     assert_eq!(r.reserve(node, port, SimTime(0), SimTime(50)).0, SimTime(0));
                 }
                 // ... and the next grant queues behind them alone.
