@@ -87,8 +87,18 @@ pub fn maybe_now() -> Option<std::time::Instant> {
 /// `name` (no-op when `t` is `None`, i.e. recording was disabled).
 #[inline]
 pub fn record_elapsed(name: &'static str, t: Option<std::time::Instant>) {
+    if t.is_some() {
+        record_elapsed_in(&metrics::histogram(name), t);
+    }
+}
+
+/// [`record_elapsed`] into a histogram handle the caller keeps, so the
+/// call takes no registry lock (handles stay valid across
+/// [`metrics::reset`]).
+#[inline]
+pub fn record_elapsed_in(hist: &metrics::Histogram, t: Option<std::time::Instant>) {
     if let Some(t0) = t {
-        metrics::histogram(name).record(t0.elapsed().as_nanos() as u64);
+        hist.record(t0.elapsed().as_nanos() as u64);
     }
 }
 

@@ -2,16 +2,19 @@
 //! log-bucketed histograms.
 //!
 //! Recording is lock-free (atomic adds); the registry lock is taken
-//! only on name lookup and when snapshotting. Hot call sites inside a
-//! single run may hold the returned `Arc`, but handles must not be
-//! cached across [`reset`] — a reset detaches them from the registry
-//! and later recordings would vanish from [`snapshot`]. The
-//! [`crate::counter_add!`] / [`crate::hist_record!`] macros therefore
-//! look the handle up per call (still behind the enabled flag, so the
-//! disabled path is a single atomic load).
+//! only on name lookup and when snapshotting. A metric, once
+//! registered, stays registered for the life of the process, so a
+//! handle may be held for as long as the caller likes: [`reset`] zeroes
+//! every metric in place and marks it untouched, and [`snapshot`] lists
+//! only the metrics recorded into since the last reset. The
+//! [`crate::counter_add!`] / [`crate::gauge_set!`] /
+//! [`crate::hist_record!`] macros therefore look their handle up once
+//! per call site and cache it; a second recording session after a
+//! reset is still counted. The disabled path stays a single atomic
+//! load.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of histogram buckets: values 0..15 exact, then 4 sub-buckets
@@ -55,10 +58,17 @@ pub fn bucket_hi(b: usize) -> u64 {
     }
 }
 
-/// A monotonically increasing counter.
+// ORDERING: Relaxed on every metric atomic in this file, values and
+// `touched` flags alike — each is an independent statistic; nothing is
+// published under any of them, and a snapshot or reset racing a
+// recording may see it or not.
+
+/// A monotonically increasing counter (back to zero on [`reset`]).
 #[derive(Default)]
 pub struct Counter {
     value: AtomicU64,
+    /// Added to since the last [`reset`].
+    touched: AtomicBool,
 }
 
 impl Counter {
@@ -66,11 +76,17 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
+        self.touched.store(true, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
+    }
+
+    fn reset(&self) {
+        self.touched.store(false, Ordering::Relaxed);
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -78,6 +94,8 @@ impl Counter {
 #[derive(Default)]
 pub struct Gauge {
     bits: AtomicU64,
+    /// Set since the last [`reset`].
+    touched: AtomicBool,
 }
 
 impl Gauge {
@@ -85,11 +103,17 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
+        self.touched.store(true, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
+    }
+
+    fn reset(&self) {
+        self.touched.store(false, Ordering::Relaxed);
+        self.bits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -102,6 +126,8 @@ pub struct Histogram {
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
+    /// Recorded into since the last [`reset`].
+    touched: AtomicBool,
 }
 
 impl Default for Histogram {
@@ -111,6 +137,7 @@ impl Default for Histogram {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
+            touched: AtomicBool::new(false),
         }
     }
 }
@@ -123,6 +150,17 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+        self.touched.store(true, Ordering::Relaxed);
+    }
+
+    fn reset(&self) {
+        self.touched.store(false, Ordering::Relaxed);
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
     }
 
     /// Copy out an immutable snapshot.
@@ -279,38 +317,43 @@ pub fn interned(name: &str) -> &'static str {
 /// Add to a named counter iff recording is enabled (disabled path: one
 /// atomic load).
 ///
-/// The handle is looked up in the registry on every enabled call, NOT
-/// cached at the call site: [`reset`] detaches previously-registered
-/// metrics, and a cached `Arc` would keep feeding a metric that no
-/// longer appears in any [`snapshot`] — silently losing counters from
-/// the second traced run in a process onward.
+/// Each call site looks its handle up in the registry once and caches
+/// it, so an enabled call takes no lock. The cache stays valid across
+/// [`reset`], which zeroes metrics in place instead of detaching them:
+/// the second traced run in a process is counted like the first.
 #[macro_export]
 macro_rules! counter_add {
     ($name:literal, $n:expr) => {{
         if $crate::enabled() {
-            $crate::metrics::counter($name).add($n);
+            static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Counter>> =
+                ::std::sync::OnceLock::new();
+            HANDLE.get_or_init(|| $crate::metrics::counter($name)).add($n);
         }
     }};
 }
 
-/// Set a named gauge iff recording is enabled (see [`counter_add!`] for
-/// why the handle is not cached).
+/// Set a named gauge iff recording is enabled (the handle is cached per
+/// call site, as in [`counter_add!`]).
 #[macro_export]
 macro_rules! gauge_set {
     ($name:literal, $v:expr) => {{
         if $crate::enabled() {
-            $crate::metrics::gauge($name).set($v);
+            static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Gauge>> =
+                ::std::sync::OnceLock::new();
+            HANDLE.get_or_init(|| $crate::metrics::gauge($name)).set($v);
         }
     }};
 }
 
-/// Record into a named histogram iff recording is enabled (see
-/// [`counter_add!`] for why the handle is not cached).
+/// Record into a named histogram iff recording is enabled (the handle
+/// is cached per call site, as in [`counter_add!`]).
 #[macro_export]
 macro_rules! hist_record {
     ($name:literal, $v:expr) => {{
         if $crate::enabled() {
-            $crate::metrics::histogram($name).record($v);
+            static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Histogram>> =
+                ::std::sync::OnceLock::new();
+            HANDLE.get_or_init(|| $crate::metrics::histogram($name)).record($v);
         }
     }};
 }
@@ -333,7 +376,8 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshot every registered metric (sorted by name).
+/// Snapshot every metric recorded into since the last [`reset`]
+/// (sorted by name).
 pub fn snapshot() -> MetricsSnapshot {
     let r = registry();
     MetricsSnapshot {
@@ -342,6 +386,7 @@ pub fn snapshot() -> MetricsSnapshot {
             .lock()
             .unwrap()
             .iter()
+            .filter(|(_, v)| v.touched.load(Ordering::Relaxed))
             .map(|(k, v)| (k.to_string(), v.get()))
             .collect(),
         gauges: r
@@ -349,6 +394,7 @@ pub fn snapshot() -> MetricsSnapshot {
             .lock()
             .unwrap()
             .iter()
+            .filter(|(_, v)| v.touched.load(Ordering::Relaxed))
             .map(|(k, v)| (k.to_string(), v.get()))
             .collect(),
         histograms: r
@@ -356,17 +402,20 @@ pub fn snapshot() -> MetricsSnapshot {
             .lock()
             .unwrap()
             .iter()
+            .filter(|(_, v)| v.touched.load(Ordering::Relaxed))
             .map(|(k, v)| (k.to_string(), v.snapshot()))
             .collect(),
     }
 }
 
-/// Remove every registered metric (tests and between-run isolation).
+/// Zero every registered metric in place and mark it untouched, so the
+/// next [`snapshot`] lists only what is recorded after this call
+/// (tests and between-run isolation). Handles stay valid.
 pub fn reset() {
     let r = registry();
-    r.counters.lock().unwrap().clear();
-    r.gauges.lock().unwrap().clear();
-    r.histograms.lock().unwrap().clear();
+    r.counters.lock().unwrap().values().for_each(|c| c.reset());
+    r.gauges.lock().unwrap().values().for_each(|g| g.reset());
+    r.histograms.lock().unwrap().values().for_each(|h| h.reset());
 }
 
 #[cfg(test)]
@@ -446,8 +495,68 @@ mod tests {
         assert!(std::ptr::eq(a, b));
     }
 
+    /// One call site per macro, shared by every recording session of
+    /// the tests below.
+    fn record_session(v: u64) {
+        crate::counter_add!("test.session.count", v);
+        crate::gauge_set!("test.session.gauge", v as f64);
+        crate::hist_record!("test.session.hist", v);
+    }
+
+    fn session_names(snap: &MetricsSnapshot) -> Vec<&str> {
+        let names = snap.counters.iter().map(|(n, _)| n);
+        let names = names.chain(snap.gauges.iter().map(|(n, _)| n));
+        let names = names.chain(snap.histograms.iter().map(|(n, _)| n));
+        names.filter(|n| n.starts_with("test.session.")).map(String::as_str).collect()
+    }
+
+    #[test]
+    fn a_cached_call_site_counts_again_after_reset() {
+        let _lock = crate::span::test_lock();
+        crate::set_enabled(true);
+        record_session(5);
+        record_session(7);
+        reset();
+        assert!(session_names(&snapshot()).is_empty(), "reset metrics must not be listed");
+        record_session(3);
+        crate::set_enabled(false);
+        let snap = snapshot();
+        reset();
+        let count = snap.counters.iter().find(|(n, _)| n == "test.session.count");
+        assert_eq!(count.map(|(_, v)| *v), Some(3));
+        let gauge = snap.gauges.iter().find(|(n, _)| n == "test.session.gauge");
+        assert_eq!(gauge.map(|(_, v)| *v), Some(3.0));
+        let hist = snap.histograms.iter().find(|(n, _)| n == "test.session.hist");
+        let hist = hist.map(|(_, h)| (h.count(), h.sum, h.min, h.max));
+        assert_eq!(hist, Some((1, 3, 3, 3)));
+    }
+
+    #[test]
+    fn cached_handles_race_reset_without_losing_the_registration() {
+        let _lock = crate::span::test_lock();
+        crate::set_enabled(true);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| (0..2000).for_each(|_| record_session(1)));
+            }
+            for _ in 0..50 {
+                reset();
+                let _ = snapshot();
+            }
+        });
+        reset();
+        record_session(1);
+        crate::set_enabled(false);
+        let snap = snapshot();
+        reset();
+        let count = snap.counters.iter().find(|(n, _)| n == "test.session.count");
+        assert_eq!(count.map(|(_, v)| *v), Some(1));
+        assert_eq!(session_names(&snap).len(), 3);
+    }
+
     #[test]
     fn registry_reuses_handles() {
+        let _lock = crate::span::test_lock();
         let c1 = counter("test.metric.reuse");
         let c2 = counter("test.metric.reuse");
         c1.add(2);

@@ -339,7 +339,7 @@ fn serve_shard_group(snapshot: &ServiceSnapshot, key: &ShardKey, jobs: Vec<Job>)
             mpcp_obs::span("serve.batch.compute").attr("batch", unique.len());
         shard.selector.select_batch(&unique)
     };
-    mpcp_obs::record_elapsed(shard.latency_metric, t);
+    mpcp_obs::record_elapsed_in(&shard.latency, t);
     if let Some(tl) = tel {
         let now = tl.now_ns();
         tl.record_batch_compute(now, now.saturating_sub(compute_start));

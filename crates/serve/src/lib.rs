@@ -173,10 +173,12 @@ pub(crate) struct Shard {
     cache: Mutex<LruCache<CacheKey, Selection>>,
     pub(crate) hits: AtomicU64,
     pub(crate) misses: AtomicU64,
-    /// Interned per-shard histogram name (`serve.latency_ns.<coll>`):
-    /// one allocation per *unique* name for the process lifetime, not
-    /// one per shard reload (see `mpcp_obs::metrics::interned`).
-    pub(crate) latency_metric: &'static str,
+    /// Handle of the per-shard latency histogram
+    /// (`serve.latency_ns.<coll>`), looked up once at load. The name is
+    /// interned: one allocation per *unique* name for the process
+    /// lifetime, not one per shard reload (see
+    /// `mpcp_obs::metrics::interned`).
+    pub(crate) latency: Arc<mpcp_obs::metrics::Histogram>,
     /// Rolling-window recorders, attached once telemetry is enabled
     /// (empty until then: the hot path pays one `OnceLock` load).
     pub(crate) telemetry: OnceLock<telemetry::ShardTelemetry>,
@@ -193,7 +195,7 @@ impl Shard {
             cache: Mutex::new(LruCache::new(cache_capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            latency_metric: name,
+            latency: mpcp_obs::metrics::histogram(name),
             telemetry: OnceLock::new(),
         }
     }
@@ -251,7 +253,7 @@ impl Shard {
         if let Some(sel) = lock(&self.cache).get(&cell) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             mpcp_obs::counter_add!("serve.cache_hits", 1);
-            mpcp_obs::record_elapsed(self.latency_metric, t);
+            mpcp_obs::record_elapsed_in(&self.latency, t);
             if let Some((tl, w)) = tel {
                 tl.record_hit(start_ns, w);
             }
@@ -265,7 +267,7 @@ impl Shard {
         // results), which is cheaper than serializing every miss.
         let sel = self.compute(instance)?;
         lock(&self.cache).put(cell, sel);
-        mpcp_obs::record_elapsed(self.latency_metric, t);
+        mpcp_obs::record_elapsed_in(&self.latency, t);
         if let Some((tl, w)) = tel {
             tl.record_scalar_miss(start_ns, probe_ns, tl.now_ns(), w);
         }
@@ -601,7 +603,7 @@ impl PredictionService {
             shard.check_collective(instance)?;
             let t = mpcp_obs::maybe_now();
             let sel = shard.compute(instance)?;
-            mpcp_obs::record_elapsed(shard.latency_metric, t);
+            mpcp_obs::record_elapsed_in(&shard.latency, t);
             Ok(sel)
         })
     }

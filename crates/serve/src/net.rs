@@ -34,6 +34,16 @@
 //! [`NetServer::stop`] — stops accepting, half-closes every
 //! connection's read side, drains every accepted request to a written
 //! reply, and joins all threads.
+//!
+//! The client, [`NetClient`], coalesces pipelined requests. A request
+//! sent while a whole reply is already buffered waits in the client's
+//! buffer, and the waiting requests go out in one `write` when the
+//! client next needs the socket: in `recv`, once the buffered replies
+//! are consumed, or at the next send that finds none buffered. A closed
+//! loop that refills its window as replies come back thus writes once
+//! per run of consumed replies; an open-loop burst sent before any
+//! reply is read, and a synchronous [`NetClient::select`], write each
+//! request as it is sent.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
@@ -945,12 +955,10 @@ impl ReplyBuf {
         }
         self.out.clear();
         if !self.ready.is_empty() {
-            // Stamps exist only while metrics are recorded; one registry
-            // lookup serves the whole burst.
-            let hist = mpcp_obs::metrics::histogram("serve.net.write_us");
+            // Stamps exist only while metrics are recorded.
             let now = Instant::now();
             for ready in self.ready.drain(..) {
-                hist.record(micros(now - ready));
+                mpcp_obs::hist_record!("serve.net.write_us", micros(now - ready));
             }
         }
         // ORDERING: Relaxed — balances the reader's Relaxed increments;
@@ -1040,13 +1048,34 @@ pub enum Reply {
 /// Blocking client for one daemon connection. Supports pipelining:
 /// queue sends with [`NetClient::send_select`], then collect replies in
 /// request order with [`NetClient::recv`].
+///
+/// Requests are coalesced. A request sent while a whole reply frame is
+/// already buffered is *deferred*: its frame waits in the client's
+/// buffer, since the caller will consume that reply before it needs
+/// the socket again. The deferred frames go out together, in one
+/// `write`, as soon as the client would block on the socket: `recv`
+/// writes them before it reads, and a request sent with no whole reply
+/// buffered writes them at once along with itself. So a closed loop
+/// that refills its window while consuming replies costs one `write`
+/// per run of consumed replies, not one per request. An open-loop
+/// burst sent before any reply is read, and a synchronous
+/// [`NetClient::select`], which never sends with a reply buffered,
+/// still write each request as it is sent. [`NetClient::flush`]
+/// writes deferred frames on demand, and dropping the client flushes
+/// them on a best-effort basis, so every request that was sent
+/// reaches the daemon.
+///
+/// A write error is reported by the call that flushes:
+/// [`NetClient::send_select`], [`NetClient::recv`] or
+/// [`NetClient::flush`] (and not at all by drop). The frames that
+/// write carried are discarded.
 pub struct NetClient {
-    /// Write half: each request goes out as soon as it is sent.
+    /// Write half.
     stream: TcpStream,
     /// Read half (a clone of `stream`), buffered so a run of replies
     /// costs one `read`.
     reader: BufReader<TcpStream>,
-    /// Reused request encoding buffer.
+    /// Encoded request frames not yet written (deferred), reused.
     out: Vec<u8>,
     /// Reused reply payload buffer.
     payload: Vec<u8>,
@@ -1062,11 +1091,36 @@ impl NetClient {
         Ok(NetClient { stream, reader, out: Vec::new(), payload: Vec::new(), next_id: 1 })
     }
 
-    /// Write one request frame now.
+    /// True when the read buffer holds a whole reply frame, so the next
+    /// [`NetClient::recv`] needs no socket read. A header that does not
+    /// parse counts as incomplete: `recv` then flushes and reports it.
+    fn reply_buffered(&self) -> bool {
+        let buf = self.reader.buffer();
+        let Some(header) = buf.get(..FRAME_HEADER_LEN).and_then(|h| h.try_into().ok()) else {
+            return false;
+        };
+        read_frame_header(header, KIND_NET_RESPONSE)
+            .is_ok_and(|h| buf.len() - FRAME_HEADER_LEN >= h.payload_len)
+    }
+
+    /// Append one request frame and write it, with every deferred frame
+    /// ahead of it, unless a whole reply is buffered: then defer it.
     fn send(&mut self, req: &NetRequest) -> Result<(), NetError> {
-        self.out.clear();
         append_framed(&mut self.out, KIND_NET_REQUEST, req);
-        self.stream.write_all(&self.out)?;
+        if self.reply_buffered() {
+            return Ok(());
+        }
+        self.flush()
+    }
+
+    /// Write every deferred request frame now, with one `write_all`.
+    pub fn flush(&mut self) -> Result<(), NetError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written?;
         Ok(())
     }
 
@@ -1076,7 +1130,11 @@ impl NetClient {
         Ok(())
     }
 
-    /// Send one select request without waiting; returns its `req_id`.
+    /// Send one select request without waiting for its reply; returns
+    /// its `req_id`. The frame is written at once, with any deferred
+    /// frames ahead of it, unless a whole reply is already buffered;
+    /// then it is deferred to the next flushing call (see the type
+    /// docs).
     pub fn send_select(&mut self, key: &ShardKey, instance: &Instance) -> Result<u64, NetError> {
         let req_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
@@ -1084,8 +1142,13 @@ impl NetClient {
         Ok(req_id)
     }
 
-    /// Read the next reply (replies arrive in request order).
+    /// Read the next reply (replies arrive in request order). Unless a
+    /// whole reply is already buffered, every deferred request is
+    /// written first, with one `write_all`, before the socket is read.
     pub fn recv(&mut self) -> Result<(u64, Reply), NetError> {
+        if !self.reply_buffered() {
+            self.flush()?;
+        }
         let resp: NetResponse = read_frame(&mut self.reader, &mut self.payload, KIND_NET_RESPONSE)?;
         let id = resp.req_id();
         let reply = match resp {
@@ -1134,6 +1197,13 @@ impl NetClient {
     }
 }
 
+impl Drop for NetClient {
+    fn drop(&mut self) {
+        // Best effort: a request that was sent still reaches the daemon.
+        let _ = self.flush();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1145,6 +1215,102 @@ mod tests {
             key: ShardKey { coll: Collective::Allreduce, scope: "hydra/OpenMPI 4.0.2".into() },
             instance: Instance::new(Collective::Allreduce, 4096, 8, 4),
         }
+    }
+
+    /// A listener standing in for the daemon, and a client connected
+    /// to it; the peer side reads with a timeout so a test cannot hang.
+    fn fake_peer() -> (NetClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = NetClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        (client, peer)
+    }
+
+    /// One reply frame per id, concatenated.
+    fn replies(ids: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &req_id in ids {
+            let selection = Selection { uid: 7, predicted_us: Some(1.5), degraded: false };
+            append_framed(&mut out, KIND_NET_RESPONSE, &NetResponse::Ok { req_id, selection });
+        }
+        out
+    }
+
+    /// True when nothing arrives at `peer` within a short timeout.
+    fn nothing_readable(peer: &mut TcpStream) -> bool {
+        peer.set_read_timeout(Some(Duration::from_millis(150))).unwrap();
+        let mut byte = [0u8; 1];
+        let quiet = matches!(
+            peer.read(&mut byte).map_err(|e| e.kind()),
+            Err(std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+        );
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        quiet
+    }
+
+    fn select_parts() -> (ShardKey, Instance) {
+        match sample_request() {
+            NetRequest::Select { key, instance, .. } => (key, instance),
+            NetRequest::Shutdown { .. } => unreachable!("sample_request is a select"),
+        }
+    }
+
+    #[test]
+    fn sends_behind_a_buffered_reply_wait_until_recv_needs_the_socket() {
+        let (mut client, mut peer) = fake_peer();
+        // Three replies in one write: the first `recv` reads them all.
+        peer.write_all(&replies(&[101, 102, 103])).unwrap();
+        assert_eq!(client.recv().unwrap().0, 101);
+        let (key, instance) = select_parts();
+        let a = client.send_select(&key, &instance).unwrap();
+        let b = client.send_select(&key, &instance).unwrap();
+        assert!(nothing_readable(&mut peer), "a request went out while a reply was buffered");
+        assert_eq!(client.recv().unwrap().0, 102);
+        assert_eq!(client.recv().unwrap().0, 103);
+        assert!(nothing_readable(&mut peer), "a request went out while a reply was buffered");
+        let answer = std::thread::spawn(move || {
+            // The next `recv` needs the socket: both requests arrive, in
+            // order, as the bytes of one write.
+            let mut want = encode_framed(
+                KIND_NET_REQUEST,
+                &NetRequest::Select { req_id: a, key: key.clone(), instance },
+            );
+            want.extend(encode_framed(
+                KIND_NET_REQUEST,
+                &NetRequest::Select { req_id: b, key, instance },
+            ));
+            let mut got = vec![0u8; want.len()];
+            peer.read_exact(&mut got).unwrap();
+            assert_eq!(got, want);
+            peer.write_all(&replies(&[a, b])).unwrap();
+            peer
+        });
+        assert_eq!(client.recv().unwrap().0, a);
+        assert_eq!(client.recv().unwrap().0, b);
+        answer.join().unwrap();
+    }
+
+    #[test]
+    fn a_write_error_on_deferred_frames_comes_from_the_flushing_call() {
+        let (mut client, mut peer) = fake_peer();
+        peer.write_all(&replies(&[1, 2])).unwrap();
+        assert_eq!(client.recv().unwrap().0, 1);
+        // Every write on this socket now fails.
+        client.stream.shutdown(Shutdown::Write).unwrap();
+        let (key, instance) = select_parts();
+        // Reply 2 is buffered, so these sends are deferred and succeed.
+        client.send_select(&key, &instance).unwrap();
+        assert!(matches!(client.flush(), Err(NetError::Io(_))));
+        client.send_select(&key, &instance).unwrap();
+        assert_eq!(client.recv().unwrap().0, 2);
+        // Reply 3 waits in the socket, not in the client's buffer: `recv`
+        // must flush first, and that write fails.
+        peer.write_all(&replies(&[3])).unwrap();
+        assert!(matches!(client.recv(), Err(NetError::Io(_))));
+        // With no reply buffered, a send writes at once and fails.
+        assert!(matches!(client.send_select(&key, &instance), Err(NetError::Io(_))));
     }
 
     #[test]

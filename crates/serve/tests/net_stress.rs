@@ -4,8 +4,10 @@
 //! degraded answers instead of dropping or panicking, typed
 //! `overloaded` errors once shedding saturates, cache hits answered at
 //! admission still in request order, pipelined and byte-dribbled
-//! framing, idle-timeout housekeeping (also mid-frame), and clean
-//! shutdown with zero leaked threads.
+//! framing, idle-timeout housekeeping (also mid-frame), clean
+//! shutdown with zero leaked threads, and the client's coalescing rule
+//! as the daemon sees it (an open-loop burst arrives before any reply
+//! is read; a dropped client's deferred requests still arrive).
 
 // The shared integration fixture: the grid is benchmarked once per
 // binary and each learner's selector is trained once, saved, and
@@ -102,7 +104,7 @@ fn grid(coll: Collective) -> Vec<Instance> {
 /// starts and retires those threads on its own schedule — also while
 /// another test holds `NET_LOCK` between its baseline and its drain
 /// check.
-const TESTS: [&str; 8] = [
+const TESTS: [&str; 10] = [
     "sustained_multi_connection_load_is_lossless_and_bit_identical",
     "wedged_workers_shed_degraded_answers_and_never_drop",
     "saturated_shedding_degrades_to_typed_overloaded_errors",
@@ -111,6 +113,8 @@ const TESTS: [&str; 8] = [
     "mid_frame_stalls_are_closed_by_the_idle_timeout",
     "idle_connections_are_reaped_and_shutdown_leaks_nothing",
     "wire_shutdown_op_stops_the_daemon_for_all_clients",
+    "an_open_loop_burst_reaches_the_daemon_before_any_recv",
+    "dropping_a_client_delivers_its_deferred_requests",
 ];
 
 /// Threads alive in this process, not counting libtest's threads for
@@ -162,6 +166,19 @@ fn read_response(stream: &mut TcpStream) -> NetResponse {
     frame.resize(FRAME_HEADER_LEN + h.payload_len, 0);
     stream.read_exact(&mut frame[FRAME_HEADER_LEN..]).unwrap();
     decode_framed(KIND_NET_RESPONSE, &frame).unwrap()
+}
+
+/// Poll until the daemon has decoded `n` requests.
+fn wait_for_requests(server: &NetServer, n: u64) {
+    let t0 = Instant::now();
+    while server.stats().requests < n {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "daemon saw {} of {n} requests",
+            server.stats().requests
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// Poll until the process thread count drops back to `baseline`
@@ -597,5 +614,76 @@ fn wire_shutdown_op_stops_the_daemon_for_all_clients() {
     // Client `a` finds the daemon gone on its next round-trip.
     a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     assert!(a.select(&key, &inst).is_err());
+    assert_threads_drain_to(baseline);
+}
+
+#[test]
+fn an_open_loop_burst_reaches_the_daemon_before_any_recv() {
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let (svc, key, coll) = fixture_service();
+    let cells = grid(coll);
+    let baseline = thread_count();
+    let server =
+        NetServer::start(Arc::clone(&svc), always_shed(), NetConfig::default()).unwrap();
+
+    // With no reply buffered, every send writes at once: the whole
+    // burst reaches the daemon while the client has read nothing.
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let ids: Vec<u64> =
+        cells.iter().map(|inst| client.send_select(&key, inst).unwrap()).collect();
+    wait_for_requests(&server, cells.len() as u64);
+    for (want, inst) in ids.into_iter().zip(&cells) {
+        let (id, reply) = client.recv().unwrap();
+        assert_eq!(id, want);
+        match reply {
+            Reply::Selection { selection, shed: false } => {
+                assert_bit_identical(&svc, &key, inst, &selection);
+            }
+            other => panic!("{inst}: expected a computed selection, got {other:?}"),
+        }
+    }
+    drop(client);
+    server.join();
+    assert_threads_drain_to(baseline);
+}
+
+#[test]
+fn dropping_a_client_delivers_its_deferred_requests() {
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let (svc, key, coll) = fixture_service();
+    let cells = grid(coll);
+    let baseline = thread_count();
+    let server =
+        NetServer::start(Arc::clone(&svc), always_shed(), NetConfig::default()).unwrap();
+
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let first = 8;
+    for inst in &cells[..first] {
+        client.send_select(&key, inst).unwrap();
+    }
+    // Wait until every reply is written, so the first `recv` buffers
+    // the replies still unread.
+    let t0 = Instant::now();
+    while server.stats().requests < first as u64 || server.stats().inflight > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", server.stats());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    client.recv().unwrap();
+    let deferred = 4;
+    for inst in &cells[first..first + deferred] {
+        client.send_select(&key, inst).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(
+        server.stats().requests,
+        first as u64,
+        "sends behind buffered replies must wait for a flush"
+    );
+    drop(client);
+    let sent = (first + deferred) as u64;
+    wait_for_requests(&server, sent);
+    let stats = server.join();
+    assert_eq!(stats.requests, sent, "{stats:?}");
+    assert_eq!(stats.inflight, 0, "{stats:?}");
     assert_threads_drain_to(baseline);
 }
