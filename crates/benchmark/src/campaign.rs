@@ -47,7 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock};
 
 use mpcp_collectives::{AlgorithmConfig, MakespanMemo, MpiLibrary};
-use mpcp_simnet::{Machine, SimTime, Topology};
+use mpcp_ml::persist::{fnv1a64, ByteWriter};
+use mpcp_simnet::{NetworkModel, SimTime, Topology};
 
 use crate::cells::{measure_grid_cell, CellGrid, CellMeasurement};
 use crate::datasets::DatasetSpec;
@@ -55,7 +56,7 @@ use crate::fault::{FaultPlan, FaultSummary, RetryPolicy};
 use crate::noise::NoiseModel;
 use crate::record::Record;
 use crate::repro::BenchConfig;
-use crate::store::{fate, CampaignStore, ChunkData, StoreError, StoreHeader};
+use crate::store::{fate, CampaignStore, ChunkData, FaultPlanRepr, StoreError, StoreHeader};
 
 /// Default checkpoint granularity: cells per committed chunk.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 256;
@@ -73,12 +74,6 @@ pub struct CampaignConfig {
     pub checkpoint_every: u64,
     /// Resume from an existing store file instead of starting fresh.
     pub resume: bool,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> CampaignConfig {
-        CampaignConfig { threads: 1, checkpoint_every: DEFAULT_CHECKPOINT_EVERY, resume: false }
-    }
 }
 
 /// What a campaign run did.
@@ -254,10 +249,14 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    /// Fold in the next chunk.
+    /// Fold in the next chunk. Every path that turns chunks into a
+    /// dataset commits through here, so `bench.cells_failed` counts
+    /// the same cells as the result's fault summary.
     pub fn add(&mut self, chunk: &ChunkData) {
+        let summary = chunk.summary();
+        mpcp_obs::counter_add!("bench.cells_failed", summary.cells_failed as u64);
         self.records.extend(chunk.to_records());
-        self.faults.merge(&chunk.summary());
+        self.faults.merge(&summary);
         self.consumed_picos += chunk.consumed_picos;
     }
 }
@@ -268,23 +267,103 @@ impl Tally {
 pub(crate) struct ChunkJob<'a> {
     /// The canonical cell order.
     pub grid: CellGrid,
+    /// The dataset: machine, grid axes and seed (the noise and fault
+    /// streams hang off it).
+    pub spec: &'a DatasetSpec,
     /// The library's configurations for the collective, by uid.
     pub configs: &'a [AlgorithmConfig],
-    /// Machine the grid is simulated on.
-    pub machine: &'a Machine,
-    /// Campaign seed (the noise and fault streams hang off it).
-    pub seed: u64,
     /// The ReproMPI loop.
     pub bench: &'a BenchConfig,
     /// Fault plan, if any.
     pub plan: Option<&'a FaultPlan>,
     /// Retry policy for failed attempts.
     pub retry: &'a RetryPolicy,
+    /// The noise every cell's repetitions draw around the makespan.
+    pub noise: NoiseModel,
     /// Cells per chunk (>= 1).
     pub chunk_size: u64,
 }
 
-impl ChunkJob<'_> {
+impl<'a> ChunkJob<'a> {
+    /// The job measuring `spec`'s grid on `library` in chunks of
+    /// `chunk_size` cells (clamped to >= 1).
+    pub fn new(
+        spec: &'a DatasetSpec,
+        library: &'a MpiLibrary,
+        bench: &'a BenchConfig,
+        plan: Option<&'a FaultPlan>,
+        retry: &'a RetryPolicy,
+        chunk_size: u64,
+    ) -> ChunkJob<'a> {
+        ChunkJob {
+            grid: spec.cell_grid(library),
+            spec,
+            configs: library.configs(spec.coll),
+            bench,
+            plan,
+            retry,
+            noise: NoiseModel::default(),
+            chunk_size: chunk_size.max(1),
+        }
+    }
+
+    /// The store header of this job: everything its chunks depend on.
+    pub fn header(&self) -> StoreHeader {
+        let spec = self.spec;
+        StoreHeader {
+            id: spec.id.to_string(),
+            collective: spec.coll.mpi_name().to_string(),
+            library: spec.lib.name().to_string(),
+            lib_version: spec.lib.version().to_string(),
+            machine: spec.machine.name.clone(),
+            seed: spec.seed,
+            nodes: spec.nodes.clone(),
+            ppn: spec.ppn.clone(),
+            msizes: spec.msizes.clone(),
+            config_count: self.configs.len() as u64,
+            chunk_size: self.chunk_size,
+            max_reps: self.bench.max_reps,
+            budget_picos: self.bench.budget.picos(),
+            sync_picos: self.bench.sync_per_rep.picos(),
+            max_retries: self.retry.max_retries,
+            backoff_picos: self.retry.backoff.picos(),
+            fault: self.plan.map(FaultPlanRepr::from_plan),
+            inputs_digest: self.inputs_digest(),
+        }
+    }
+
+    /// FNV-1a over the bits of the inputs a header names only by label:
+    /// the machine's network model, the noise model, and each
+    /// configuration's label and excluded flag. The destructuring is
+    /// exhaustive, so a new model parameter cannot be left out.
+    fn inputs_digest(&self) -> u64 {
+        let NetworkModel {
+            alpha_inter,
+            beta_rail,
+            rails,
+            alpha_intra,
+            beta_mem,
+            mem_channels,
+            o_send,
+            o_recv,
+            eager_inter,
+            eager_intra,
+            gamma_reduce,
+            beta_unexpected,
+        } = self.spec.machine.model;
+        let NoiseModel { sigma, outlier_prob, outlier_scale } = self.noise;
+        let mut w = ByteWriter::new();
+        w.put_f64s(&[alpha_inter, beta_rail, alpha_intra, beta_mem, o_send, o_recv]);
+        w.put_f64s(&[gamma_reduce, beta_unexpected, sigma, outlier_prob, outlier_scale]);
+        w.put_u32s(&[rails, mem_channels]);
+        w.put_u64s(&[eager_inter, eager_intra]);
+        for cfg in self.configs {
+            w.put_str(&cfg.label());
+            w.put_bool(cfg.excluded);
+        }
+        fnv1a64(&w.into_bytes())
+    }
+
     /// Number of chunks the grid is cut into.
     pub fn chunks(&self) -> u64 {
         self.grid.len().div_ceil(self.chunk_size)
@@ -296,7 +375,6 @@ impl ChunkJob<'_> {
     /// [`MakespanMemo`] per topology run. The memo is dropped when its
     /// run ends, so it never outlives the cells that can hit it.
     pub fn measure(&self, index: u64) -> MeasuredChunk {
-        let noise = NoiseModel::default();
         let start = index * self.chunk_size;
         let end = (start + self.chunk_size).min(self.grid.len());
         let mut chunk = ChunkData { index, start, ..ChunkData::default() };
@@ -311,7 +389,7 @@ impl ChunkJob<'_> {
                 .attr("ppn", head.ppn);
             let run_start = id;
             let topo = Topology::new(head.nodes, head.ppn);
-            let mut memo = MakespanMemo::new(&self.machine.model, &topo);
+            let mut memo = MakespanMemo::new(&self.spec.machine.model, &topo);
             while id < end {
                 let cell = self.grid.cell(id);
                 if cell.nodes != head.nodes || cell.ppn != head.ppn {
@@ -323,7 +401,14 @@ impl ChunkJob<'_> {
                 chunk.msizes.push(cell.msize);
                 chunk.uids.push(cell.uid);
                 let measured = measure_grid_cell(
-                    &mut memo, cfg, cell, self.seed, self.bench, &noise, self.plan, self.retry,
+                    &mut memo,
+                    cfg,
+                    cell,
+                    self.spec.seed,
+                    self.bench,
+                    &self.noise,
+                    self.plan,
+                    self.retry,
                 );
                 match measured {
                     CellMeasurement::Measured { record, result } => {
@@ -400,32 +485,8 @@ pub fn run_campaign(
     store_path: &Path,
 ) -> Result<CampaignReport, StoreError> {
     let threads = cfg.threads.max(1);
-    let job = ChunkJob {
-        grid: spec.cell_grid(library),
-        configs: library.configs(spec.coll),
-        machine: &spec.machine,
-        seed: spec.seed,
-        bench,
-        plan,
-        retry,
-        chunk_size: cfg.checkpoint_every.max(1),
-    };
-    let header = StoreHeader::new(
-        spec.id,
-        spec.coll.mpi_name(),
-        spec.lib.name(),
-        spec.lib.version(),
-        &spec.machine.name,
-        spec.seed,
-        spec.nodes.clone(),
-        spec.ppn.clone(),
-        spec.msizes.clone(),
-        job.configs.len(),
-        job.chunk_size,
-        bench,
-        retry,
-        plan,
-    );
+    let job = ChunkJob::new(spec, library, bench, plan, retry, cfg.checkpoint_every);
+    let header = job.header();
     let cells_total = job.grid.len();
     let chunks_total = header.total_chunks();
 
@@ -544,16 +605,7 @@ mod tests {
         let bench = BenchConfig::quick();
         let plan = FaultPlan { timeout_prob: 0.05, ..FaultPlan::uniform(0.2, 5) };
         let retry = RetryPolicy::no_retries();
-        let job = ChunkJob {
-            grid: spec.cell_grid(&lib),
-            configs: lib.configs(spec.coll),
-            machine: &spec.machine,
-            seed: spec.seed,
-            bench: &bench,
-            plan: Some(&plan),
-            retry: &retry,
-            chunk_size: spec.msizes.len() as u64,
-        };
+        let job = ChunkJob::new(&spec, &lib, &bench, Some(&plan), &retry, spec.msizes.len() as u64);
         let run = |threads: usize| {
             let mut committed: Vec<ChunkData> = Vec::new();
             let Ok(_steals) = schedule_chunks(
@@ -594,30 +646,30 @@ mod tests {
 
     #[test]
     fn resume_on_a_complete_store_is_a_no_op() {
+        // Chunked per topology group, as the experiment loader runs it:
+        // the reused store reports exactly what `generate` measures.
         let spec = DatasetSpec::tiny_for_tests();
         let lib = spec.library(None);
         let bench = BenchConfig::quick();
-        let path = tmp("noop_resume");
-        let cfg = CampaignConfig { threads: 1, checkpoint_every: 7, resume: false };
-        let first = run_campaign(&spec, &lib, &bench, None, &RetryPolicy::default(), &cfg, &path)
-            .unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let again = run_campaign(
-            &spec,
-            &lib,
-            &bench,
-            None,
-            &RetryPolicy::default(),
-            &CampaignConfig { resume: true, ..cfg },
-            &path,
-        )
-        .unwrap();
-        assert_eq!(again.cells_resumed, again.cells_total);
-        assert_eq!(again.chunks_resumed, again.chunks_total);
-        assert_eq!(again.records, first.records);
-        assert_eq!(again.faults, first.faults);
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
-        std::fs::remove_file(&path).ok();
+        let retry = RetryPolicy::default();
+        let lossy = FaultPlan::uniform(0.3, 8);
+        for plan in [None, Some(&lossy)] {
+            let path = tmp("noop_resume");
+            let every = spec.cell_grid(&lib).group_len();
+            let cfg = CampaignConfig { threads: 2, checkpoint_every: every, resume: false };
+            run_campaign(&spec, &lib, &bench, plan, &retry, &cfg, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let cfg = CampaignConfig { resume: true, ..cfg };
+            let again = run_campaign(&spec, &lib, &bench, plan, &retry, &cfg, &path).unwrap();
+            assert_eq!(again.cells_resumed, again.cells_total);
+            assert_eq!(again.chunks_resumed, again.chunks_total);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            let fresh = spec.generate_with_faults(&lib, &bench, plan, &retry);
+            assert_eq!(again.records, fresh.records);
+            assert_eq!(again.faults, fresh.faults);
+            assert_eq!(again.total_bench, fresh.total_bench);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -730,16 +782,7 @@ mod tests {
             }
         }
         assert!(duplicates > 0, "the grid must hold duplicate schedules");
-        let job = ChunkJob {
-            chunk_size: grid.group_len(),
-            grid,
-            configs,
-            machine: &spec.machine,
-            seed: spec.seed,
-            bench: &bench,
-            plan: None,
-            retry: &retry,
-        };
+        let job = ChunkJob::new(&spec, &lib, &bench, None, &retry, grid.group_len());
         let reused: u64 = (0..job.chunks()).map(|i| job.measure(i).sim_reused).sum();
         assert_eq!(reused, duplicates);
     }

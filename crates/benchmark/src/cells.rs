@@ -13,8 +13,8 @@
 //! ```
 //!
 //! — i.e. topology-major (`nodes` outer, then `ppn`), then configuration
-//! uid, then message size, matching the historical record order of the
-//! dataset CSVs. Cells are decoded from their id on demand; nothing is
+//! uid, then message size, matching the record order datasets have
+//! always had. Cells are decoded from their id on demand; nothing is
 //! materialized, so a million-cell campaign enumerates lazily.
 //!
 //! The id is also what the campaign's deterministic seeding hangs off:
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn canonical_order_is_pinned() {
         // The regression contract: ids enumerate (nodes, ppn, uid, msize)
-        // with msize innermost — the historical CSV record order. Any
+        // with msize innermost — the historical record order. Any
         // change here silently reshuffles every stored campaign.
         let g = grid();
         assert_eq!(g.len(), 2 * 2 * 4 * 3);

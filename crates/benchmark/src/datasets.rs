@@ -8,7 +8,6 @@
 //! DESIGN.md "Known deviations").
 
 use std::convert::Infallible;
-use std::path::Path;
 
 use mpcp_collectives::{Collective, MpiLibrary};
 use mpcp_collectives::decision::TuningGrid;
@@ -17,7 +16,7 @@ use mpcp_simnet::{Machine, SimTime};
 use crate::campaign::{default_threads, schedule_chunks, ChunkJob, Tally};
 use crate::cells::CellGrid;
 use crate::fault::{FaultPlan, FaultSummary, RetryPolicy};
-use crate::record::{read_csv, write_csv, Record};
+use crate::record::Record;
 use crate::repro::BenchConfig;
 
 /// Which simulated MPI library a dataset uses.
@@ -342,17 +341,8 @@ impl DatasetSpec {
         retry: &RetryPolicy,
     ) -> DatasetResult {
         let threads = default_threads();
-        let grid = self.cell_grid(library);
-        let job = ChunkJob {
-            chunk_size: grid.group_len().max(1),
-            grid,
-            configs: library.configs(self.coll),
-            machine: &self.machine,
-            seed: self.seed,
-            bench,
-            plan,
-            retry,
-        };
+        let chunk_size = self.cell_grid(library).group_len();
+        let job = ChunkJob::new(self, library, bench, plan, retry, chunk_size);
         let mut grid_span = mpcp_obs::span("bench.grid")
             .attr("dataset", self.id)
             .attr("configs", job.configs.len());
@@ -377,7 +367,6 @@ impl DatasetSpec {
         );
         let Tally { records, faults, consumed_picos } = tally;
         let total_bench = SimTime(consumed_picos);
-        mpcp_obs::counter_add!("bench.cells_failed", faults.cells_failed as u64);
         grid_span.set_attr("records", records.len());
         grid_span.set_attr("cells_failed", faults.cells_failed);
         grid_span.set_attr("cells_timed_out", faults.cells_timed_out);
@@ -393,29 +382,6 @@ impl DatasetSpec {
         }
         DatasetResult { id: self.id, records, total_bench, faults }
     }
-
-    /// Generate, caching the records as CSV under `cache_dir` (the
-    /// library and its decision logic are rebuilt deterministically and
-    /// are not cached).
-    pub fn generate_cached(
-        &self,
-        library: &MpiLibrary,
-        bench: &BenchConfig,
-        cache_dir: &Path,
-    ) -> DatasetResult {
-        let path = cache_dir.join(format!("{}.csv", self.id));
-        if let Ok(records) = read_csv(&path) {
-            if records.len() == self.sample_count(library) {
-                let faults = FaultSummary { cells_ok: records.len(), ..FaultSummary::default() };
-                return DatasetResult { id: self.id, records, total_bench: SimTime::ZERO, faults };
-            }
-        }
-        let result = self.generate(library, bench);
-        if let Err(e) = write_csv(&path, &result.records) {
-            eprintln!("warning: could not cache {}: {e}", path.display());
-        }
-        result
-    }
 }
 
 /// A generated dataset.
@@ -425,8 +391,7 @@ pub struct DatasetResult {
     pub id: &'static str,
     /// All measured cells (cells lost to faults are absent).
     pub records: Vec<Record>,
-    /// Total simulated benchmarking time across the grid (zero when
-    /// loaded from cache).
+    /// Total simulated benchmarking time across the grid.
     pub total_bench: SimTime,
     /// Fault accounting for the campaign (all-ok without a fault plan).
     pub faults: FaultSummary,
@@ -496,19 +461,6 @@ mod tests {
         let a = spec.generate(&lib, &BenchConfig::quick());
         let b = spec.generate(&lib, &BenchConfig::quick());
         assert_eq!(a.records, b.records);
-    }
-
-    #[test]
-    fn cache_roundtrip() {
-        let spec = DatasetSpec::tiny_for_tests();
-        let lib = spec.library(None);
-        let dir = std::env::temp_dir().join("mpcp_ds_cache_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let a = spec.generate_cached(&lib, &BenchConfig::quick(), &dir);
-        let b = spec.generate_cached(&lib, &BenchConfig::quick(), &dir);
-        assert_eq!(a.records, b.records);
-        assert_eq!(b.total_bench, SimTime::ZERO); // loaded from cache
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

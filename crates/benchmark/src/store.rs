@@ -24,6 +24,16 @@
 //! `(header, committed results)`. No wall-clock time, thread count, or
 //! host identity is ever written, which is what makes the campaign
 //! runner's N-thread ≡ 1-thread byte-identity gate possible.
+//!
+//! The store is the only on-disk dataset format, and a store is reused
+//! whenever its header equals the one a run would write. The header
+//! therefore pins every input the records depend on: the grid, seed,
+//! bench, retry and fault settings, and [`StoreHeader::inputs_digest`]
+//! over the machine's network-model parameters, the noise model and the
+//! configuration labels. What it cannot pin is the code: an engine,
+//! schedule or ReproMPI change that alters records must bump
+//! [`STORE_VERSION`], so that every existing store stops matching. Such
+//! changes show up in `tests/records_digest.rs`.
 
 use std::fmt;
 use std::io::Write;
@@ -35,13 +45,12 @@ use mpcp_ml::persist::{
 };
 use mpcp_simnet::SimTime;
 
-use crate::fault::{FaultPlan, FaultSummary, RetryPolicy};
+use crate::fault::{FaultPlan, FaultSummary};
 use crate::record::Record;
-use crate::repro::BenchConfig;
 
 /// Version of the campaign-store layout (inside the codec's own
 /// format version).
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 
 /// Per-cell fate byte stored in a chunk's fate column.
 pub mod fate {
@@ -95,6 +104,10 @@ pub struct StoreHeader {
     pub backoff_picos: u64,
     /// Fault plan, if the campaign injects faults.
     pub fault: Option<FaultPlanRepr>,
+    /// FNV-1a digest of the simulator and noise inputs the header does
+    /// not spell out: the network model's parameter bits, the noise
+    /// model's, and every configuration's label and excluded flag.
+    pub inputs_digest: u64,
 }
 
 /// Serializable mirror of [`FaultPlan`] (probabilities via bit-exact
@@ -127,18 +140,6 @@ impl FaultPlanRepr {
             seed: p.seed,
         }
     }
-
-    /// Rebuild the plan a stored campaign ran under.
-    pub fn to_plan(&self) -> FaultPlan {
-        FaultPlan {
-            fail_prob: self.fail_prob,
-            timeout_prob: self.timeout_prob,
-            outlier_prob: self.outlier_prob,
-            outlier_scale: self.outlier_scale,
-            blackout_nodes: self.blackout_nodes.clone(),
-            seed: self.seed,
-        }
-    }
 }
 
 impl Persist for FaultPlanRepr {
@@ -164,45 +165,6 @@ impl Persist for FaultPlanRepr {
 }
 
 impl StoreHeader {
-    /// Assemble a header from the campaign's run parameters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: &str,
-        collective: &str,
-        library: &str,
-        lib_version: &str,
-        machine: &str,
-        seed: u64,
-        nodes: Vec<u32>,
-        ppn: Vec<u32>,
-        msizes: Vec<u64>,
-        config_count: usize,
-        chunk_size: u64,
-        bench: &BenchConfig,
-        retry: &RetryPolicy,
-        plan: Option<&FaultPlan>,
-    ) -> StoreHeader {
-        StoreHeader {
-            id: id.to_string(),
-            collective: collective.to_string(),
-            library: library.to_string(),
-            lib_version: lib_version.to_string(),
-            machine: machine.to_string(),
-            seed,
-            nodes,
-            ppn,
-            msizes,
-            config_count: config_count as u64,
-            chunk_size,
-            max_reps: bench.max_reps,
-            budget_picos: bench.budget.picos(),
-            sync_picos: bench.sync_per_rep.picos(),
-            max_retries: retry.max_retries,
-            backoff_picos: retry.backoff.picos(),
-            fault: plan.map(FaultPlanRepr::from_plan),
-        }
-    }
-
     /// Total cells in this campaign's grid.
     pub fn total_cells(&self) -> u64 {
         self.nodes.len() as u64
@@ -217,20 +179,6 @@ impl StoreHeader {
             return 0;
         }
         self.total_cells().div_ceil(self.chunk_size)
-    }
-
-    /// Rebuild the bench configuration this store was measured under.
-    pub fn bench(&self) -> BenchConfig {
-        BenchConfig {
-            max_reps: self.max_reps,
-            budget: SimTime(self.budget_picos),
-            sync_per_rep: SimTime(self.sync_picos),
-        }
-    }
-
-    /// Rebuild the retry policy this store was measured under.
-    pub fn retry(&self) -> RetryPolicy {
-        RetryPolicy { max_retries: self.max_retries, backoff: SimTime(self.backoff_picos) }
     }
 }
 
@@ -260,6 +208,7 @@ impl Persist for StoreHeader {
                 f.encode(w);
             }
         }
+        w.put_u64(self.inputs_digest);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<StoreHeader, CodecError> {
@@ -291,6 +240,7 @@ impl Persist for StoreHeader {
                 1 => Some(FaultPlanRepr::decode(r)?),
                 b => return Err(CodecError::invalid(format!("fault-plan tag {b}"))),
             },
+            inputs_digest: r.get_u64()?,
         };
         if header.chunk_size == 0 && header.total_cells() != 0 {
             return Err(CodecError::invalid("chunk_size 0 on a non-empty grid"));
@@ -543,6 +493,9 @@ fn header_diff(found: &StoreHeader, expected: &StoreHeader) -> String {
             found.collective, found.library, expected.collective, expected.library
         ));
     }
+    if found.inputs_digest != expected.inputs_digest {
+        diffs.push("network model, noise model or configurations differ".to_string());
+    }
     if diffs.is_empty() {
         diffs.push("grid or configuration differs".to_string());
     }
@@ -558,7 +511,6 @@ fn header_diff(found: &StoreHeader, expected: &StoreHeader) -> String {
 #[derive(Debug)]
 pub struct CampaignStore {
     path: PathBuf,
-    header: StoreHeader,
     chunks_done: u64,
     cells_done: u64,
 }
@@ -574,7 +526,7 @@ impl CampaignStore {
         let mut bytes = Vec::new();
         append_framed(&mut bytes, KIND_CAMPAIGN_HEADER, &header);
         std::fs::write(path, &bytes).map_err(|e| io_err(path, e))?;
-        Ok(CampaignStore { path: path.to_path_buf(), header, chunks_done: 0, cells_done: 0 })
+        Ok(CampaignStore { path: path.to_path_buf(), chunks_done: 0, cells_done: 0 })
     }
 
     /// Open `path` for resuming, recovering from a torn tail; create a
@@ -600,7 +552,17 @@ impl CampaignStore {
         };
         let mut scan = FrameScanner::new(&bytes);
         let found = match scan.next_frame(KIND_CAMPAIGN_HEADER) {
-            Ok(Some(payload)) => decode_payload::<StoreHeader>(payload)?,
+            Ok(Some(payload)) => {
+                // An intact store of another layout version holds
+                // another campaign's records, whatever its fields say.
+                let version = ByteReader::new(payload).get_u32()?;
+                if version != STORE_VERSION {
+                    return Err(StoreError::HeaderMismatch {
+                        what: format!("store version {version} vs {STORE_VERSION}"),
+                    });
+                }
+                decode_payload::<StoreHeader>(payload)?
+            }
             // Empty file, or a crash before the header frame was fully
             // on disk: nothing was committed, start fresh.
             Ok(None) | Err(CodecError::Truncated { .. }) => {
@@ -646,21 +608,10 @@ impl CampaignStore {
         }
         let store = CampaignStore {
             path: path.to_path_buf(),
-            header,
             chunks_done: chunks.len() as u64,
             cells_done,
         };
         Ok((store, chunks))
-    }
-
-    /// The header this store was opened with.
-    pub fn header(&self) -> &StoreHeader {
-        &self.header
-    }
-
-    /// Chunks committed so far.
-    pub fn chunks_done(&self) -> u64 {
-        self.chunks_done
     }
 
     /// Cells committed so far.
@@ -731,24 +682,32 @@ impl CampaignStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::RetryPolicy;
+    use crate::repro::BenchConfig;
 
     fn test_header(chunk_size: u64) -> StoreHeader {
-        StoreHeader::new(
-            "t1",
-            "MPI_Allreduce",
-            "Open MPI",
-            "4.0.2",
-            "Hydra",
-            0x7E57,
-            vec![2, 3],
-            vec![1, 2],
-            vec![16, 256],
-            3,
+        let bench = BenchConfig::quick();
+        let retry = RetryPolicy::default();
+        StoreHeader {
+            id: "t1".into(),
+            collective: "MPI_Allreduce".into(),
+            library: "Open MPI".into(),
+            lib_version: "4.0.2".into(),
+            machine: "Hydra".into(),
+            seed: 0x7E57,
+            nodes: vec![2, 3],
+            ppn: vec![1, 2],
+            msizes: vec![16, 256],
+            config_count: 3,
             chunk_size,
-            &BenchConfig::quick(),
-            &RetryPolicy::default(),
-            Some(&FaultPlan::uniform(0.25, 9)),
-        )
+            max_reps: bench.max_reps,
+            budget_picos: bench.budget.picos(),
+            sync_picos: bench.sync_per_rep.picos(),
+            max_retries: retry.max_retries,
+            backoff_picos: retry.backoff.picos(),
+            fault: Some(FaultPlanRepr::from_plan(&FaultPlan::uniform(0.25, 9))),
+            inputs_digest: 0xD16E57,
+        }
     }
 
     fn test_chunk(index: u64, start: u64, cells: u64) -> ChunkData {
@@ -869,6 +828,20 @@ mod tests {
         let err = CampaignStore::open_or_create(&path, other).unwrap_err();
         assert!(matches!(err, StoreError::HeaderMismatch { .. }), "{err}");
         assert!(format!("{err}").contains("different campaign"));
+        let other = StoreHeader { inputs_digest: 1, ..test_header(4) };
+        let err = CampaignStore::open_or_create(&path, other).unwrap_err().to_string();
+        assert!(err.contains("network model"), "{err}");
+        // An intact header of another layout version is another
+        // campaign too, not a corrupt file.
+        let mut bytes = Vec::new();
+        append_framed(&mut bytes, KIND_CAMPAIGN_HEADER, &test_header(4));
+        let at = mpcp_ml::persist::FRAME_HEADER_LEN;
+        bytes[at..at + 4].copy_from_slice(&(STORE_VERSION + 1).to_le_bytes());
+        let payload_sum = mpcp_ml::persist::fnv1a64(&bytes[at..]);
+        bytes[at - 8..at].copy_from_slice(&payload_sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = CampaignStore::open_or_create(&path, test_header(4)).unwrap_err().to_string();
+        assert!(err.contains("store version"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -901,9 +874,5 @@ mod tests {
         assert_eq!(h.total_cells(), 2 * 2 * 2 * 3);
         assert_eq!(h.total_chunks(), 6);
         assert_eq!(test_header(5).total_chunks(), 5);
-        assert_eq!(h.bench().max_reps, BenchConfig::quick().max_reps);
-        assert_eq!(h.retry(), RetryPolicy::default());
-        let plan = h.fault.as_ref().unwrap().to_plan();
-        assert_eq!(plan, FaultPlan::uniform(0.25, 9));
     }
 }

@@ -7,7 +7,8 @@
 use std::path::{Path, PathBuf};
 
 use mpcp_benchmark::{
-    run_campaign, BenchConfig, CampaignConfig, DatasetSpec, FaultPlan, RetryPolicy, StoreError,
+    run_campaign, BenchConfig, CampaignConfig, CampaignReport, DatasetSpec, FaultPlan, RetryPolicy,
+    StoreError,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -35,19 +36,24 @@ fn bench() -> BenchConfig {
     BenchConfig { max_reps: 5, ..BenchConfig::quick() }
 }
 
-/// Run the reference campaign fresh into `path`, returning its bytes.
-fn reference_bytes(path: &Path) -> Vec<u8> {
+/// Run the reference campaign fresh into `path`, returning its report.
+fn reference_run(path: &Path) -> CampaignReport {
     let s = spec();
     let lib = s.library(None);
     let cfg = CampaignConfig { threads: 1, checkpoint_every: 4, resume: false };
     run_campaign(&s, &lib, &bench(), Some(&plan()), &RetryPolicy::default(), &cfg, path)
-        .expect("reference campaign");
+        .expect("reference campaign")
+}
+
+/// Run the reference campaign fresh into `path`, returning its bytes.
+fn reference_bytes(path: &Path) -> Vec<u8> {
+    reference_run(path);
     std::fs::read(path).expect("read reference store")
 }
 
 /// Resume a campaign over whatever is at `path` (2 threads, so resume
 /// and parallelism compose).
-fn resume(path: &Path) -> Result<mpcp_benchmark::CampaignReport, StoreError> {
+fn resume(path: &Path) -> Result<CampaignReport, StoreError> {
     let s = spec();
     let lib = s.library(None);
     let cfg = CampaignConfig { threads: 2, checkpoint_every: 4, resume: true };
@@ -57,7 +63,9 @@ fn resume(path: &Path) -> Result<mpcp_benchmark::CampaignReport, StoreError> {
 #[test]
 fn kill_at_every_byte_boundary_resumes_to_identical_bytes() {
     let full_path = tmp("kill_full");
-    let full = reference_bytes(&full_path);
+    // Every resumed run must report what the uninterrupted run did.
+    let whole = reference_run(&full_path);
+    let full = std::fs::read(&full_path).expect("read reference store");
     std::fs::remove_file(&full_path).ok();
     assert!(full.len() > 500, "store too small to be a meaningful kill test");
 
@@ -80,6 +88,9 @@ fn kill_at_every_byte_boundary_resumes_to_identical_bytes() {
             40,
             "cut at byte {cut}: resumed + re-measured cells must cover the grid"
         );
+        assert_eq!(report.records, whole.records, "cut at byte {cut}: records differ");
+        assert_eq!(report.faults, whole.faults, "cut at byte {cut}: faults differ");
+        assert_eq!(report.total_bench, whole.total_bench, "cut at byte {cut}: budget differs");
     }
     std::fs::remove_file(&path).ok();
 }

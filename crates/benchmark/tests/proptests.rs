@@ -5,7 +5,6 @@ use proptest::prelude::*;
 
 use mpcp_benchmark::fault::measure_cell;
 use mpcp_benchmark::noise::{cell_stream, SplitMix64};
-use mpcp_benchmark::record::Record;
 use mpcp_benchmark::repro::{summarize, BenchConfig};
 use mpcp_benchmark::{CellOutcome, FaultPlan, FaultSummary, NoiseModel, RetryPolicy};
 use mpcp_simnet::SimTime;
@@ -84,23 +83,6 @@ proptest! {
             let rel = (m.median_secs - base_us * 1e-6).abs() / (base_us * 1e-6);
             prop_assert!(rel < 0.05, "relative median error {rel}");
         }
-    }
-
-    #[test]
-    fn record_csv_roundtrips(
-        nodes in 1u32..1000,
-        ppn in 1u32..64,
-        msize in 0u64..(1 << 40),
-        uid in 0u32..500,
-        alg_id in 0u32..20,
-        excluded in any::<bool>(),
-        runtime in 1e-9f64..1e3,
-        base in 1e-9f64..1e3,
-        reps in 1u32..501,
-    ) {
-        let r = Record { nodes, ppn, msize, uid, alg_id, excluded, runtime, base, reps };
-        let back = Record::from_csv(&r.to_csv()).unwrap();
-        prop_assert_eq!(back, r);
     }
 
     #[test]

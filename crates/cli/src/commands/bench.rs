@@ -1,10 +1,10 @@
-//! `mpcp bench` and `mpcp campaign`: measure a grid into a dataset CSV,
-//! directly or through the parallel, checkpointed campaign store.
+//! `mpcp bench` and `mpcp campaign`: measure a grid into a campaign
+//! store, the one dataset format `train`, `select` and `tune` read.
 
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::path::Path;
 
-use mpcp_benchmark::record::write_csv;
+use mpcp_benchmark::campaign::{default_threads, DEFAULT_CHECKPOINT_EVERY};
 use mpcp_benchmark::{
     run_campaign, BenchConfig, CampaignConfig, CampaignReport, DatasetSpec, FaultPlan,
     FaultSummary, LibKind, RetryPolicy,
@@ -80,27 +80,30 @@ impl BenchSetup {
     }
 }
 
-/// `mpcp bench ...`
+/// `mpcp bench ...`: measure the grid into a fresh store at `--out`,
+/// one topology group per chunk (the makespan memo's scope), on every
+/// CPU.
 pub fn bench(args: &Args) -> Result<String, String> {
     let out_path = args.require("out")?;
     let setup = BenchSetup::read(args, "cli")?;
-    let BenchSetup { spec, library, bench, plan, retry } = &setup;
-    let t0 = std::time::Instant::now();
-    let data = spec.generate_with_faults(library, bench, plan.as_ref(), retry);
+    let BenchSetup { spec, library, bench, .. } = &setup;
+    let checkpoint_every = spec.cell_grid(library).group_len();
+    let cfg = CampaignConfig { threads: default_threads(), checkpoint_every, resume: false };
+    let (data, secs) = setup.run(&cfg, out_path)?;
     if data.records.is_empty() {
+        std::fs::remove_file(out_path).ok();
         return Err(format!(
             "no cells survived the benchmark run ({}); relax the fault plan",
             data.faults.summary()
         ));
     }
-    write_csv(Path::new(out_path), &data.records).map_err(|e| e.to_string())?;
+    let bound = SimTime(data.records.len() as u64 * bench.budget.picos());
     let mut out = format!(
-        "benchmarked {} cells ({} configurations) in {:.1}s\nsimulated benchmarking time: {:.1} min (bound {:.1} min)\n",
+        "benchmarked {} cells ({} configurations) in {secs:.1}s\nsimulated benchmarking time: {:.1} min (bound {:.1} min)\n",
         data.records.len(),
         library.configs(spec.coll).len(),
-        t0.elapsed().as_secs_f64(),
         data.total_bench.as_secs_f64() / 60.0,
-        data.budget_bound(bench).as_secs_f64() / 60.0,
+        bound.as_secs_f64() / 60.0,
     );
     out.push_str(&setup.fault_line(&data.faults));
     out.push_str(&format!("wrote {out_path}\n"));
@@ -138,10 +141,6 @@ fn campaign_summary(report: &CampaignReport, secs: f64) -> String {
     out
 }
 
-fn cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
 /// `mpcp campaign ...` — the parallel, checkpointed grid sweep.
 ///
 /// With `--bench-out` it instead runs the same campaign fresh at 1
@@ -150,16 +149,17 @@ fn cpus() -> usize {
 /// `--min-speedup`).
 pub fn campaign(args: &Args) -> Result<String, String> {
     let store_path = args.require("store")?;
-    let threads = args.optional::<NonZeroUsize>("threads")?.map_or_else(cpus, NonZeroUsize::get);
-    let checkpoint_every =
-        args.optional::<NonZeroU64>("checkpoint-every")?.map_or(256, NonZeroU64::get);
+    let threads =
+        args.optional::<NonZeroUsize>("threads")?.map_or_else(default_threads, NonZeroUsize::get);
+    let checkpoint_every = args
+        .optional::<NonZeroU64>("checkpoint-every")?
+        .map_or(DEFAULT_CHECKPOINT_EVERY, NonZeroU64::get);
     let cfg = CampaignConfig { threads, checkpoint_every, resume: args.flag("resume") };
     let bench_out = args.get("bench-out");
     let min_speedup = match bench_out {
         Some(_) => args.value_or("min-speedup", 0.0f64)?,
         None => 0.0,
     };
-    let csv = if bench_out.is_none() { args.get("out") } else { None };
     let setup = BenchSetup::read(args, "campaign")?;
     if let Some(bench_out) = bench_out {
         return campaign_bench(&setup, store_path, &cfg, bench_out, min_speedup);
@@ -168,16 +168,6 @@ pub fn campaign(args: &Args) -> Result<String, String> {
     let (report, secs) = setup.run(&cfg, store_path)?;
     let mut out = campaign_summary(&report, secs);
     out.push_str(&setup.fault_line(&report.faults));
-    if let Some(csv) = csv {
-        if report.records.is_empty() {
-            return Err(format!(
-                "no cells survived the campaign ({}); relax the fault plan",
-                report.faults.summary()
-            ));
-        }
-        write_csv(Path::new(csv), &report.records).map_err(|e| e.to_string())?;
-        out.push_str(&format!("wrote {csv}\n"));
-    }
     out.push_str(&format!("store: {store_path} ({} chunks)\n", report.chunks_total));
     Ok(out)
 }
@@ -203,7 +193,7 @@ fn campaign_bench(
     let speedup = ratio(single_secs, multi_secs);
     let (single_rate, multi_rate) =
         (ratio(cells as f64, single_secs), ratio(cells as f64, multi_secs));
-    let cpus = cpus();
+    let cpus = default_threads();
     let seed = setup.spec.seed;
     let prov = mpcp_obs::provenance::Provenance::capture("mpcp campaign --bench-out", Some(seed));
     let json = format!(

@@ -148,23 +148,23 @@ mod tests {
     fn bench_select_tune_roundtrip() {
         let dir = std::env::temp_dir().join("mpcp_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         let tunef = dir.join("x.tune");
         let out = run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3,4", "--ppn",
-            "1,2", "--msizes", "16,4K", "--out", csv.to_str().unwrap(),
+            "1,2", "--msizes", "16,4K", "--out", store.to_str().unwrap(),
         ])
         .unwrap();
         assert!(out.contains("benchmarked"), "{out}");
         let out = run_args(&[
-            "select", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
+            "select", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
             "--train-nodes", "2,4", "--nodes", "3", "--ppn", "2", "--msize", "4K",
         ])
         .unwrap();
         assert!(out.contains("predicted best"), "{out}");
         assert!(out.contains("measured best"), "{out}");
         let out = run_args(&[
-            "tune", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
+            "tune", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
             "--train-nodes", "2,4", "--nodes", "3", "--ppn", "2", "--out",
             tunef.to_str().unwrap(),
         ])
@@ -178,17 +178,17 @@ mod tests {
     fn served_daemon_roundtrip_over_tcp() {
         let dir = std::env::temp_dir().join("mpcp_cli_served_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         let model = dir.join("m.model");
         let addr_file = dir.join("addr.txt");
         std::fs::remove_file(&addr_file).ok();
         run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3,4", "--ppn",
-            "1,2", "--msizes", "16,4K", "--out", csv.to_str().unwrap(),
+            "1,2", "--msizes", "16,4K", "--out", store.to_str().unwrap(),
         ])
         .unwrap();
         run_args(&[
-            "train", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner",
+            "train", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner",
             "knn", "--save-model", model.to_str().unwrap(),
         ])
         .unwrap();
@@ -251,21 +251,21 @@ mod tests {
         let _obs = OBS_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("mpcp_cli_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         let trace = dir.join("trace.json");
         let metrics = dir.join("metrics.jsonl");
         std::fs::remove_file(&trace).ok();
         std::fs::remove_file(&metrics).ok();
         let out = run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3", "--ppn",
-            "1,2", "--msizes", "16,4K", "--out", csv.to_str().unwrap(), "--trace-out",
+            "1,2", "--msizes", "16,4K", "--out", store.to_str().unwrap(), "--trace-out",
             trace.to_str().unwrap(), "--metrics-out", metrics.to_str().unwrap(),
         ])
         .unwrap();
         assert!(out.contains("trace ("), "{out}");
         assert!(out.contains("metrics appended"), "{out}");
         let out = run_args(&[
-            "select", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner",
+            "select", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner",
             "xgboost", "--nodes", "3", "--ppn", "2", "--msize", "4K", "--trace-out",
             trace.to_str().unwrap(), "--metrics-out", metrics.to_str().unwrap(),
         ])
@@ -303,14 +303,14 @@ mod tests {
         let _obs = OBS_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("mpcp_cli_fault_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("f.csv");
+        let store = dir.join("f.store");
         let metrics = dir.join("m.jsonl");
         std::fs::remove_file(&metrics).ok();
         // 30% failures + a node blackout: the bench must still succeed
         // and report coverage.
         let out = run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3,4", "--ppn",
-            "1,2", "--msizes", "16,4K", "--out", csv.to_str().unwrap(), "--fault-plan",
+            "1,2", "--msizes", "16,4K", "--out", store.to_str().unwrap(), "--fault-plan",
             "fail=0.3,blackout=4,seed=9", "--retries", "1", "--metrics-out",
             metrics.to_str().unwrap(),
         ])
@@ -321,7 +321,7 @@ mod tests {
         // blacked-out node count forces fallback-free selection for a
         // measured instance.
         let out = run_args(&[
-            "select", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
+            "select", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
             "--nodes", "3", "--ppn", "2", "--msize", "4K",
         ])
         .unwrap();
@@ -352,19 +352,19 @@ mod tests {
     fn impossible_fault_plan_is_a_readable_error() {
         let dir = std::env::temp_dir().join("mpcp_cli_fault_err_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("f.csv");
+        let store = dir.join("f.store");
         // Blacking out every node count leaves nothing to write.
         let err = run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3", "--ppn", "1",
-            "--msizes", "16", "--out", csv.to_str().unwrap(), "--fault-plan", "blackout=2+3",
+            "--msizes", "16", "--out", store.to_str().unwrap(), "--fault-plan", "blackout=2+3",
         ])
         .unwrap_err();
         assert!(err.contains("no cells survived"), "{err}");
-        assert!(!csv.exists());
+        assert!(!store.exists());
         // Malformed plans fail fast with the offending key.
         let err = run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2", "--ppn", "1",
-            "--msizes", "16", "--out", csv.to_str().unwrap(), "--fault-plan", "fail=2.0",
+            "--msizes", "16", "--out", store.to_str().unwrap(), "--fault-plan", "fail=2.0",
         ])
         .unwrap_err();
         assert!(err.contains("fail"), "{err}");
@@ -375,8 +375,8 @@ mod tests {
     fn zero_probability_fault_plan_matches_clean_run() {
         let dir = std::env::temp_dir().join("mpcp_cli_fault_noop_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let clean = dir.join("clean.csv");
-        let faulty = dir.join("noop.csv");
+        let clean = dir.join("clean.store");
+        let faulty = dir.join("noop.store");
         let base = [
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3", "--ppn", "1",
             "--msizes", "16,4K",
@@ -387,9 +387,10 @@ mod tests {
         let mut b = base.to_vec();
         b.extend(["--out", faulty.to_str().unwrap(), "--fault-plan", "fail=0.0,seed=123"]);
         run_args(&b).unwrap();
+        let records = |p: &Path| select::read_store(p.to_str().unwrap()).unwrap();
         assert_eq!(
-            std::fs::read_to_string(&clean).unwrap(),
-            std::fs::read_to_string(&faulty).unwrap(),
+            records(&clean),
+            records(&faulty),
             "a zero-probability fault plan must be bit-identical to no plan"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -399,16 +400,16 @@ mod tests {
     fn min_samples_threshold_is_accepted() {
         let dir = std::env::temp_dir().join("mpcp_cli_minsamples_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3", "--ppn", "1",
-            "--msizes", "16,4K", "--out", csv.to_str().unwrap(),
+            "--msizes", "16,4K", "--out", store.to_str().unwrap(),
         ])
         .unwrap();
         // An absurd threshold excludes every config: typed error, not a
         // panic.
         let err = run_args(&[
-            "select", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
+            "select", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
             "--nodes", "3", "--ppn", "1", "--msize", "4K", "--min-samples", "100000",
         ])
         .unwrap_err();
@@ -421,18 +422,18 @@ mod tests {
         let _obs = OBS_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("mpcp_cli_model_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         let model = dir.join("m.mpcp");
         let bench_json = dir.join("b.json");
         let metrics = dir.join("m.jsonl");
         std::fs::remove_file(&metrics).ok();
         run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3,4", "--ppn",
-            "1,2", "--msizes", "16,4K", "--out", csv.to_str().unwrap(),
+            "1,2", "--msizes", "16,4K", "--out", store.to_str().unwrap(),
         ])
         .unwrap();
         let out = run_args(&[
-            "train", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
+            "train", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
             "--save-model", model.to_str().unwrap(),
         ])
         .unwrap();
@@ -441,14 +442,14 @@ mod tests {
         // Answer from the artifact, no retraining; --data adds ground truth.
         let out = run_args(&[
             "select", "--model", model.to_str().unwrap(), "--nodes", "3", "--ppn", "2",
-            "--msize", "4K", "--data", csv.to_str().unwrap(),
+            "--msize", "4K", "--data", store.to_str().unwrap(),
         ])
         .unwrap();
         assert!(out.contains("predicted best"), "{out}");
         assert!(out.contains("measured best"), "{out}");
-        // The trained-from-CSV path and the loaded-artifact path agree.
+        // The trained-from-store path and the loaded-artifact path agree.
         let fresh = run_args(&[
-            "select", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
+            "select", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner", "knn",
             "--nodes", "3", "--ppn", "2", "--msize", "4K",
         ])
         .unwrap();
@@ -528,7 +529,7 @@ mod tests {
         let _obs = OBS_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("mpcp_cli_telemetry_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         let model = dir.join("m.mpcp");
         let stats = dir.join("live.json");
         let flight = dir.join("flight.json");
@@ -538,11 +539,11 @@ mod tests {
         std::fs::remove_file(&flight).ok();
         run_args(&[
             "bench", "--machine", "hydra", "--coll", "bcast", "--nodes", "2,3", "--ppn", "1,2",
-            "--msizes", "16,4K", "--out", csv.to_str().unwrap(),
+            "--msizes", "16,4K", "--out", store.to_str().unwrap(),
         ])
         .unwrap();
         run_args(&[
-            "train", "--data", csv.to_str().unwrap(), "--coll", "bcast", "--learner", "knn",
+            "train", "--data", store.to_str().unwrap(), "--coll", "bcast", "--learner", "knn",
             "--save-model", model.to_str().unwrap(),
         ])
         .unwrap();
@@ -680,15 +681,15 @@ mod tests {
     fn corrupt_model_artifact_is_a_typed_cli_error() {
         let dir = std::env::temp_dir().join("mpcp_cli_corrupt_model_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         let model = dir.join("m.mpcp");
         run_args(&[
             "bench", "--machine", "hydra", "--coll", "allreduce", "--nodes", "2,3", "--ppn", "1",
-            "--msizes", "16,4K", "--out", csv.to_str().unwrap(),
+            "--msizes", "16,4K", "--out", store.to_str().unwrap(),
         ])
         .unwrap();
         run_args(&[
-            "train", "--data", csv.to_str().unwrap(), "--coll", "allreduce", "--learner",
+            "train", "--data", store.to_str().unwrap(), "--coll", "allreduce", "--learner",
             "linear", "--save-model", model.to_str().unwrap(),
         ])
         .unwrap();
@@ -759,9 +760,9 @@ mod tests {
 
     #[test]
     fn zero_dimensions_are_errors_for_bench() {
-        let out = ["--msizes", "16", "--out", "never-written.csv"];
+        let out = ["--msizes", "16", "--out", "never-written.store"];
         assert_zero_dims_rejected(&[&["bench"][..], &HYDRA_BCAST, &out].concat());
-        assert!(!Path::new("never-written.csv").exists());
+        assert!(!Path::new("never-written.store").exists());
     }
 
     #[test]
@@ -773,7 +774,7 @@ mod tests {
 
     #[test]
     fn zero_dimensions_are_errors_for_select() {
-        for source in [["--data", "d.csv"], ["--model", "m.mpcp"]] {
+        for source in [["--data", "d.store"], ["--model", "m.mpcp"]] {
             let query = ["--coll", "bcast", "--msize", "1K"];
             assert_zero_dims_rejected(&[&["select"][..], &source, &query].concat());
         }
@@ -781,14 +782,14 @@ mod tests {
 
     #[test]
     fn zero_dimensions_are_errors_for_tune() {
-        assert_zero_dims_rejected(&["tune", "--data", "d.csv", "--coll", "bcast"]);
+        assert_zero_dims_rejected(&["tune", "--data", "d.store", "--coll", "bcast"]);
     }
 
     #[test]
     fn lib_names_resolve_to_their_library() {
         let dir = std::env::temp_dir().join("mpcp_cli_lib_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
+        let store = dir.join("d.store");
         // Gather: Intel's configuration count differs from Open MPI's,
         // and its decision-table tuning sweep is cheap.
         let (jupiter, coll) = (parse_machine("jupiter").unwrap(), Collective::Gather);
@@ -798,9 +799,9 @@ mod tests {
         for lib in ["intel-mpi", "IntelMPI"] {
             let grid = ["--nodes", "2", "--ppn", "1", "--msizes", "16", "--lib", lib];
             let argv = [&["bench", "--machine", "jupiter", "--coll", "gather"][..], &grid];
-            let out = run_args(&[&argv.concat()[..], &["--out", csv.to_str().unwrap()]].concat());
+            let out = run_args(&[&argv.concat()[..], &["--out", store.to_str().unwrap()]].concat());
             assert!(out.unwrap().contains(&format!("({n_intel} configurations)")), "{lib}");
-            let data = mpcp_benchmark::record::read_csv(&csv).unwrap();
+            let data = select::read_store(store.to_str().unwrap()).unwrap();
             let uids: std::collections::BTreeSet<u32> = data.iter().map(|r| r.uid).collect();
             assert_eq!(uids.len(), n_intel, "{lib}");
         }
@@ -835,10 +836,10 @@ mod tests {
     fn unknown_lib_is_an_error_everywhere() {
         let grid = [&HYDRA_BCAST[..], &["--nodes", "2", "--ppn", "1", "--msizes", "16"]].concat();
         for argv in [
-            [&["bench"][..], &grid, &["--out", "never-written.csv"]].concat(),
+            [&["bench"][..], &grid, &["--out", "never-written.store"]].concat(),
             [&["campaign"][..], &grid, &["--store", "never-written.store"]].concat(),
             vec!["algorithms", "--coll", "bcast"],
-            vec!["train", "--data", "d.csv", "--coll", "bcast", "--save-model", "m.mpcp"],
+            vec!["train", "--data", "d.store", "--coll", "bcast", "--save-model", "m.mpcp"],
         ] {
             assert_flag_error(&[&argv[..], &["--lib", "bogus"]].concat(), "bad --lib \"bogus\"");
         }
@@ -846,12 +847,16 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_before_any_work() {
-        let csv = "never-written.csv";
+        let store = "never-written.store";
         let dims = [&HYDRA_BCAST[..], &["--nodes", "2", "--ppn", "1"]].concat();
-        let typo = ["--msizes", "16", "--out", csv, "--seeds", "7"];
+        let typo = ["--msizes", "16", "--out", store, "--seeds", "7"];
         let err = run_args(&[&["bench"][..], &dims, &typo].concat()).unwrap_err();
         assert_eq!(err, "unknown flag --seeds for bench");
-        assert!(!Path::new(csv).exists(), "bench ran despite the unknown flag");
+        assert!(!Path::new(store).exists(), "bench ran despite the unknown flag");
+        // The store is `campaign`'s only output.
+        let out = ["--msizes", "16", "--store", "x.store", "--out", "x.csv"];
+        let err = run_args(&[&["campaign"][..], &dims, &out].concat()).unwrap_err();
+        assert_eq!(err, "unknown flag --out for campaign");
         // Every command and mode: valid required flags plus one typo.
         let query = ["--nodes", "2", "--ppn", "1", "--msize", "16"];
         for argv in [
@@ -859,10 +864,10 @@ mod tests {
             vec!["algorithms", "--coll", "bcast"],
             [&["simulate"][..], &dims].concat(),
             [&["campaign"][..], &dims, &["--msizes", "16", "--store", "x.store"]].concat(),
-            vec!["train", "--data", csv, "--coll", "bcast", "--save-model", "m"],
-            [&["select", "--data", csv, "--coll", "bcast"][..], &query].concat(),
+            vec!["train", "--data", store, "--coll", "bcast", "--save-model", "m"],
+            [&["select", "--data", store, "--coll", "bcast"][..], &query].concat(),
             [&["select", "--model", "m"][..], &query].concat(),
-            [&["tune", "--data", csv][..], &dims].concat(),
+            [&["tune", "--data", store][..], &dims].concat(),
             vec!["serve-bench", "--model", "m"],
             vec!["serve-bench", "--connect", "127.0.0.1:9", "--model", "m"],
             vec!["served", "--model", "m"],

@@ -1,11 +1,10 @@
 //! `mpcp train`, `mpcp select` and `mpcp tune`: fit a selector on a
-//! dataset CSV, then save it, answer one query, or emit a tuning file.
+//! dataset store, then save it, answer one query, or emit a tuning file.
 
 use std::num::NonZeroU32;
 use std::path::Path;
 
-use mpcp_benchmark::record::read_csv;
-use mpcp_benchmark::{LibKind, Record};
+use mpcp_benchmark::{CampaignStore, ChunkData, LibKind, Record};
 use mpcp_collectives::{Collective, MpiLibrary};
 use mpcp_core::tuning_file::{default_query_sizes, TuningFile};
 use mpcp_core::{ArtifactMeta, Instance, RuntimeTable, Selector, TrainOptions, TrainReport};
@@ -15,7 +14,15 @@ use mpcp_simnet::{Machine, Topology};
 use super::{library, library_of, load_model, parse_coll, parse_learner, parse_machine};
 use crate::args::{Args, Size};
 
-/// The flags of a command that trains on a dataset CSV, and the library
+/// The records of the campaign store at `path` (`mpcp bench --out`,
+/// `mpcp campaign --store`), in cell order.
+pub(super) fn read_store(path: &str) -> Result<Vec<Record>, String> {
+    let (_, chunks) =
+        CampaignStore::load(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
+    Ok(chunks.iter().flat_map(ChunkData::to_records).collect())
+}
+
+/// The flags of a command that trains on a dataset store, and the library
 /// they name.
 struct TrainSetup<'a> {
     coll: Collective,
@@ -52,7 +59,7 @@ impl<'a> TrainSetup<'a> {
     /// selector, its coverage report and the whole dataset.
     fn train(&self) -> Result<(Selector, TrainReport, Vec<Record>), String> {
         let path = self.data;
-        let data = read_csv(Path::new(path)).map_err(|e| e.to_string())?;
+        let data = read_store(path)?;
         if data.is_empty() {
             return Err(format!("dataset {path} is empty"));
         }
@@ -79,10 +86,10 @@ fn coverage_note(report: &TrainReport) -> String {
     format!("training coverage: {}\n", report.summary())
 }
 
-/// `mpcp train --data <csv> --coll <c> --save-model <path> [...]`
+/// `mpcp train --data <store> --coll <c> --save-model <path> [...]`
 ///
 /// Offline half of the serving split: fit a selector from a dataset
-/// CSV and persist it (models + coverage + provenance manifest) as a
+/// store and persist it (models + coverage + provenance manifest) as a
 /// binary artifact that `select --model` / `serve-bench` load without
 /// retraining.
 pub fn train(args: &Args) -> Result<String, String> {
@@ -141,7 +148,7 @@ pub fn select(args: &Args) -> Result<String, String> {
         ));
     }
     let lib = library_of(&artifact.meta)?;
-    let measured = data.map(|p| read_csv(Path::new(p)).map_err(|e| e.to_string())).transpose()?;
+    let measured = data.map(read_store).transpose()?;
     let model = Some((path, &artifact.meta));
     let (selector, report) = (&artifact.selector, &artifact.report);
     Ok(render_selection(selector, report, &lib, &inst(coll), measured.as_deref(), model))

@@ -8,10 +8,10 @@
 //! mpcp algorithms --coll bcast --lib openmpi      # list algorithm configs
 //! mpcp simulate  --machine hydra --coll bcast --nodes 8 --ppn 16 --msize 1M
 //! mpcp bench     --machine hydra --coll bcast --nodes 2,4,8 --ppn 1,8 \
-//!                --msizes 16,4K,256K --out bcast.csv
-//! mpcp select    --data bcast.csv --coll bcast --learner gam \
+//!                --msizes 16,4K,256K --out bcast.store
+//! mpcp select    --data bcast.store --coll bcast --learner gam \
 //!                --train-nodes 2,4,8 --nodes 6 --ppn 16 --msize 64K
-//! mpcp tune      --data bcast.csv --coll bcast --learner gam \
+//! mpcp tune      --data bcast.store --coll bcast --learner gam \
 //!                --train-nodes 2,4,8 --nodes 6 --ppn 16 --out bcast.tune
 //! mpcp report    --trace trace.json --metrics metrics.jsonl \
 //!                --require simulate,measure,fit,select
@@ -46,7 +46,7 @@ COMMANDS:
   simulate    run one collective once on the simulator
               --machine <name> --coll <c> --nodes <n> --ppn <N> --msize <size>
               [--alg <uid>] [--lib openmpi]
-  bench       benchmark a grid and write a dataset CSV
+  bench       benchmark a grid into a fresh dataset store
               --machine <name> --coll <c> --nodes <list> --ppn <list>
               --msizes <sizes> --out <file> [--lib openmpi] [--seed <u64>]
               [--fault-plan <plan>] [--retries <n>] [--retry-backoff-ms <ms>]
@@ -55,19 +55,19 @@ COMMANDS:
               resumable after a crash from the last committed chunk
               --machine <name> --coll <c> --nodes <list> --ppn <list>
               --msizes <sizes> --store <file> [--threads <n>]
-              [--checkpoint-every <cells>] [--resume] [--out <csv>]
+              [--checkpoint-every <cells>] [--resume]
               [--max-reps <n>] [--lib openmpi] [--seed <u64>]
               [--fault-plan <plan>] [--retries <n>] [--retry-backoff-ms <ms>]
               with --bench-out <file>: run fresh at 1 thread and at
               --threads, assert the stores are byte-identical, and write
               a BENCH_PR10.json speedup report [--min-speedup <x>]
-  train       train on a dataset CSV and save the selector as a binary
+  train       train on a dataset store and save the selector as a binary
               model artifact (models + coverage + provenance manifest)
               --data <file> --coll <c> --save-model <file>
               [--learner knn|gam|xgboost|forest|linear] [--machine <name>]
               [--lib openmpi] [--train-nodes <list>] [--min-samples <n>]
               [--seed <u64>]
-  select      train on a dataset CSV and predict the best algorithm
+  select      train on a dataset store and predict the best algorithm
               --data <file> --coll <c> --train-nodes <list>
               --nodes <n> --ppn <N> --msize <size> [--learner knn|gam|xgboost]
               [--machine <name>] [--lib openmpi] [--min-samples <n>]
@@ -119,7 +119,7 @@ FAULT INJECTION (bench):
   --fault-plan \"fail=0.3,timeout=0.05,outlier=0.02x8,blackout=13+19,seed=7\"
                         deterministic per-cell failures/timeouts/outliers
                         and whole-node-count blackouts; lost cells are
-                        absent from the CSV and reported as coverage
+                        absent from the store and reported as coverage
   --retries <n>         extra attempts for failed cells (default 2);
                         backoff is charged against each cell's budget
   --retry-backoff-ms <ms>  base backoff, doubled per retry (default 0.1)

@@ -292,7 +292,7 @@ impl Selector {
                 }
                 let t = mpcp_obs::maybe_now();
                 let fit = learner.try_fit(data);
-                mpcp_obs::record_elapsed("selector.model_fit_ns", t);
+                mpcp_obs::record_elapsed!("selector.model_fit_ns", t);
                 match fit {
                     Ok(m) => (Some(m), ConfigCoverage::Trained { samples: data.len() }),
                     Err(e) => (None, ConfigCoverage::FitFailed { samples: data.len(), error: e }),
@@ -404,7 +404,7 @@ impl Selector {
                 mpcp_obs::hist_record!("selector.margin_ppm", ppm as u64);
             }
         }
-        mpcp_obs::record_elapsed("selector.select_ns", t);
+        mpcp_obs::record_elapsed!("selector.select_ns", t);
         sel
     }
 
@@ -435,7 +435,7 @@ impl Selector {
             mpcp_obs::counter_add!("selector.degraded_selections", 1);
             Selection { uid, predicted_us: None, degraded: true }
         };
-        mpcp_obs::record_elapsed("selector.select_ns", t);
+        mpcp_obs::record_elapsed!("selector.select_ns", t);
         sel
     }
 
@@ -532,7 +532,7 @@ impl Selector {
             }
             span.set_attr("queries", instances.len());
         }
-        mpcp_obs::record_elapsed("selector.select_ns", t);
+        mpcp_obs::record_elapsed!("selector.select_ns", t);
         best
     }
 

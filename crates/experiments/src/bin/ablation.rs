@@ -10,12 +10,12 @@
 //!
 //! All ablations run on a mid-size Open MPI broadcast grid on Hydra.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mpcp_benchmark::{BenchConfig, DatasetSpec, LibKind, Record};
 use mpcp_collectives::Collective;
 use mpcp_core::{evaluate, mean_speedup, splits, Instance, RuntimeTable, Selector};
-use mpcp_experiments::{render_table, write_result_csv};
+use mpcp_experiments::{load_store, render_table, store_path, write_result_csv};
 use mpcp_ml::{Dataset, Learner};
 use mpcp_simnet::{Machine, Topology};
 
@@ -175,6 +175,22 @@ fn ratio_strategy_speedup(
     sum / n as f64
 }
 
+/// The most frequent label; a tie goes to the smallest uid, so the
+/// vote never depends on hash or neighbour order.
+///
+/// # Panics
+/// Panics on an empty vote.
+fn majority_vote(labels: impl IntoIterator<Item = u32>) -> u32 {
+    let mut votes: BTreeMap<u32, usize> = BTreeMap::new();
+    for uid in labels {
+        *votes.entry(uid).or_default() += 1;
+    }
+    // `max_by_key` keeps the last maximum; walking the uids downwards
+    // makes that the smallest.
+    let (&uid, _) = votes.iter().rev().max_by_key(|&(_, &count)| count).expect("empty vote");
+    uid
+}
+
 /// Direct classification of the best algorithm id (the paper's §III-A
 /// third rejected scheme): label each training instance with its best
 /// uid, classify unseen instances by majority vote over the K nearest
@@ -219,13 +235,7 @@ fn classification_strategy_speedup(
         }
         let x = scaler.transform(&[((r.msize + 1) as f64).log2(), r.nodes as f64,
                                    r.ppn as f64, (r.nodes * r.ppn) as f64]);
-        // Majority vote over the 5 nearest labels.
-        let nn = tree.nearest(&x, 5);
-        let mut votes: HashMap<u32, usize> = HashMap::new();
-        for (_, y) in nn {
-            *votes.entry(y as u32).or_default() += 1;
-        }
-        let uid = *votes.iter().max_by_key(|(_, c)| **c).unwrap().0;
+        let uid = majority_vote(tree.nearest(&x, 5).into_iter().map(|(_, y)| y as u32));
         let inst = Instance::new(Collective::Bcast, r.msize, r.nodes, r.ppn);
         let t = table.runtime(&inst, uid).unwrap();
         let d_uid = library
@@ -242,8 +252,8 @@ fn main() {
     mpcp_experiments::print_provenance("ablation", None);
     let spec = spec();
     let library = spec.library(None);
-    eprintln!("[ablation] generating {} cells ...", spec.sample_count(&library));
-    let data = spec.generate(&library, &BenchConfig::paper_default("Hydra"));
+    let bench = BenchConfig::paper_default("Hydra");
+    let data = load_store(&spec, &library, &bench, &store_path(spec.id));
     let split = splits::paper_split("Hydra");
     let keep =
         |ns: &Vec<u32>| ns.iter().copied().filter(|n| spec.nodes.contains(n)).collect::<Vec<_>>();
@@ -304,4 +314,16 @@ fn main() {
     println!("Ablation study (mean speed-up over the library default; higher is better)");
     println!("{}", render_table(&["group", "variant", "speedup"], &rows));
     write_result_csv("ablation.csv", "group,variant,speedup", &csv);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::majority_vote;
+
+    #[test]
+    fn a_tied_vote_goes_to_the_smallest_uid() {
+        assert_eq!(majority_vote([7, 3, 7, 3, 9]), 3);
+        assert_eq!(majority_vote([9, 5, 2]), 2);
+        assert_eq!(majority_vote([4, 8, 8]), 8);
+    }
 }

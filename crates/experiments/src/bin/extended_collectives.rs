@@ -6,7 +6,7 @@
 use mpcp_benchmark::{BenchConfig, DatasetSpec, LibKind};
 use mpcp_collectives::Collective;
 use mpcp_core::{evaluate, mean_speedup, splits, Selector};
-use mpcp_experiments::{render_table, write_result_csv};
+use mpcp_experiments::{load_store, render_table, store_path, write_result_csv};
 use mpcp_ml::Learner;
 use mpcp_simnet::Machine;
 
@@ -42,13 +42,8 @@ fn main() {
             seed: 0xE07 + coll as u64,
         };
         let library = spec.library(None);
-        eprintln!(
-            "[{}] generating {} cells ({} configs) ...",
-            spec.id,
-            spec.sample_count(&library),
-            library.configs(coll).len()
-        );
-        let data = spec.generate(&library, &BenchConfig::paper_default("Hydra"));
+        let bench = BenchConfig::paper_default("Hydra");
+        let data = load_store(&spec, &library, &bench, &store_path(spec.id));
         let train_rec = splits::filter_records(&data.records, &train);
         let test_rec = splits::filter_records(&data.records, &test);
         for (name, learner) in Learner::paper_learners() {

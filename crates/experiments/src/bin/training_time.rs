@@ -4,7 +4,9 @@
 //! took ~56 min.
 
 use mpcp_benchmark::{BenchConfig, DatasetSpec};
-use mpcp_experiments::{fast_mode, fmt_duration, render_table, shrink_spec, write_result_csv};
+use mpcp_experiments::{
+    fast_mode, fmt_duration, load_store, render_table, shrink_spec, store_path, write_result_csv,
+};
 
 fn main() {
     mpcp_experiments::print_provenance("training_time", None);
@@ -19,9 +21,8 @@ fn main() {
         let spec = if fast_mode() { shrink_spec(spec) } else { spec };
         let bench = BenchConfig::paper_default(&spec.machine.name);
         let library = spec.library(None);
-        // Budget accounting needs a fresh generation (cache holds no
-        // consumed-time info).
-        let result = spec.generate(&library, &bench);
+        // The store keeps every chunk's consumed benchmark time.
+        let result = load_store(&spec, &library, &bench, &store_path(spec.id));
         let bound = result.budget_bound(&bench);
         rows.push(vec![
             spec.id.to_string(),

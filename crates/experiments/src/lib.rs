@@ -19,15 +19,19 @@
 //! Binaries print the paper's rows/series and write CSVs under
 //! `results/`. `MPCP_FAST=1` shrinks grids for smoke runs.
 //!
-//! This library crate holds the shared pipeline: dataset generation with
-//! caching, selector training for the three learners, per-instance
+//! This library crate holds the shared pipeline: the one dataset loader
+//! (a resumable campaign store per dataset), selector training for the three learners, per-instance
 //! comparison rows, and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 
-use mpcp_benchmark::{BenchConfig, DatasetResult, DatasetSpec, Record};
+use mpcp_benchmark::campaign::default_threads;
+use mpcp_benchmark::{
+    run_campaign, BenchConfig, CampaignConfig, DatasetResult, DatasetSpec, Record, RetryPolicy,
+    StoreError,
+};
 use mpcp_collectives::MpiLibrary;
 use mpcp_core::{evaluate, splits, InstanceEval, Selector};
 use mpcp_ml::Learner;
@@ -53,11 +57,66 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Dataset cache directory.
-pub fn cache_dir() -> PathBuf {
-    let p = results_dir().join("cache");
-    std::fs::create_dir_all(&p).expect("cannot create cache dir");
-    p
+/// Where the campaign store of dataset `id` lives:
+/// `<results>/store/<id>.store`.
+pub fn store_path(id: &str) -> PathBuf {
+    results_dir().join("store").join(format!("{id}.store"))
+}
+
+/// The one dataset loader: measure `spec`'s grid as a campaign into the
+/// store at `path`, resuming whatever part of it is already committed.
+///
+/// Each chunk is one topology group, so the makespan memo reuses
+/// exactly what [`DatasetSpec::generate`] reuses, and the records,
+/// faults and `total_bench` equal a fresh `generate` bit for bit. A
+/// store is reused only when its header — grid, seed, bench settings,
+/// machine model, noise model, configurations and store version —
+/// equals the one this run would write; a store for anything else is
+/// replaced by a fresh run.
+///
+/// # Panics
+/// Panics when the store cannot be written, or holds corrupt bytes (a
+/// store that lies about its history is never silently remeasured).
+pub fn load_store(
+    spec: &DatasetSpec,
+    library: &MpiLibrary,
+    bench: &BenchConfig,
+    path: &Path,
+) -> DatasetResult {
+    eprintln!(
+        "[{}] {} cells ({} configs) in {} ...",
+        spec.id,
+        spec.sample_count(library),
+        library.configs(spec.coll).len(),
+        path.display()
+    );
+    let t0 = std::time::Instant::now();
+    let retry = RetryPolicy::default();
+    let checkpoint_every = spec.cell_grid(library).group_len();
+    let cfg = CampaignConfig { threads: default_threads(), checkpoint_every, resume: true };
+    let run = |cfg: &CampaignConfig| run_campaign(spec, library, bench, None, &retry, cfg, path);
+    let report = match run(&cfg) {
+        Err(StoreError::HeaderMismatch { what }) => {
+            let (id, path) = (spec.id, path.display());
+            eprintln!("[{id}] {path} holds another campaign ({what}); measuring afresh");
+            run(&CampaignConfig { resume: false, ..cfg })
+        }
+        other => other,
+    };
+    let report = report.unwrap_or_else(|e| panic!("[{}] {e}", spec.id));
+    eprintln!(
+        "[{}] ready in {:.1}s ({} of {} cells reused from the store)",
+        spec.id,
+        t0.elapsed().as_secs_f64(),
+        report.cells_resumed,
+        report.cells_total
+    );
+    DatasetResult {
+        id: spec.id,
+        records: report.records,
+        total_bench: report.total_bench,
+        faults: report.faults,
+    }
 }
 
 /// Whether fast (smoke-test) mode is requested via `MPCP_FAST=1`.
@@ -99,27 +158,20 @@ pub struct Prepared {
     pub spec: DatasetSpec,
     /// The library with its default decision logic.
     pub library: MpiLibrary,
-    /// Generated (or cache-loaded) records.
+    /// Measured records, from the dataset's campaign store.
     pub data: DatasetResult,
     /// Table III split for the machine.
     pub split: splits::Split,
 }
 
 impl Prepared {
-    /// Generate (with caching) everything needed to evaluate a dataset.
+    /// Load (measuring what its store lacks) everything needed to
+    /// evaluate a dataset.
     pub fn load(spec: DatasetSpec) -> Prepared {
         let spec = if fast_mode() { shrink_spec(spec) } else { spec };
         let bench = BenchConfig::paper_default(&spec.machine.name);
         let library = spec.library(None);
-        eprintln!(
-            "[{}] generating {} cells ({} configs) ...",
-            spec.id,
-            spec.sample_count(&library),
-            library.configs(spec.coll).len()
-        );
-        let t0 = std::time::Instant::now();
-        let data = spec.generate_cached(&library, &bench, &cache_dir());
-        eprintln!("[{}] ready in {:.1}s", spec.id, t0.elapsed().as_secs_f64());
+        let data = load_store(&spec, &library, &bench, &store_path(spec.id));
         let split = splits::paper_split(&spec.machine.name);
         Prepared { spec, library, data, split }
     }
@@ -217,11 +269,6 @@ pub fn fmt_duration(secs: f64) -> String {
 pub fn load_dataset(id: &str) -> Prepared {
     let spec = DatasetSpec::by_id(id).unwrap_or_else(|| panic!("unknown dataset {id}"));
     Prepared::load(spec)
-}
-
-/// Check whether `path` exists (test helper).
-pub fn exists(path: &Path) -> bool {
-    path.exists()
 }
 
 /// Rows of a Fig.4-style comparison: for each `(nodes, ppn, msize)` test
@@ -379,6 +426,37 @@ mod tests {
             assert_ne!(large, few, "{}: large and small training sets coincide", small.machine.name);
             assert_eq!(few, split.train_small, "{}", small.machine.name);
         }
+    }
+
+    #[test]
+    fn a_store_is_reused_only_for_the_campaign_it_holds() {
+        let path = std::env::temp_dir()
+            .join(format!("mpcp_loader_{}", std::process::id()))
+            .join("tiny.store");
+        let bench = BenchConfig::quick();
+        let check = |spec: &DatasetSpec| {
+            let library = spec.library(None);
+            let loaded = load_store(spec, &library, &bench, &path);
+            let fresh = spec.generate(&library, &bench);
+            assert_eq!(loaded.records, fresh.records, "seed {}", spec.seed);
+            assert_eq!(loaded.faults, fresh.faults);
+            assert_eq!(loaded.total_bench, fresh.total_bench);
+            loaded.records
+        };
+        let spec = DatasetSpec::tiny_for_tests();
+        let first = check(&spec);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(check(&spec), first, "a reused store must equal the first run");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a reused store must not be rewritten");
+        // Each case differs from the store it finds in one input only.
+        // Same machine name, one network parameter changed:
+        let mut slower = spec.clone();
+        slower.machine.model.alpha_inter *= 2.0;
+        assert_ne!(check(&slower), first);
+        // Same grid and cell count, another seed:
+        let reseeded = DatasetSpec { seed: spec.seed + 1, ..slower };
+        check(&reseeded);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]

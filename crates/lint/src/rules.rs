@@ -443,7 +443,7 @@ impl LintRule for NoWallclockInDeterministic {
 // Rule 5: no-lossy-cast
 // ---------------------------------------------------------------------
 
-/// Serialization paths (dataset records, CSV round-trips, selector uid
+/// Serialization paths (dataset records, store columns, selector uid
 /// tables) must not truncate silently: an `as u32` that wraps corrupts
 /// the dataset instead of erroring. Use `From`/`TryFrom` and propagate.
 pub struct NoLossyCast;

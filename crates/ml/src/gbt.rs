@@ -252,7 +252,7 @@ impl GbtModel {
             let _bin_span = mpcp_obs::span("gbt.binning").attr("rows", n);
             let t = mpcp_obs::maybe_now();
             let b = BinnedDataset::from_dataset(data, BinnedDataset::MAX_BINS);
-            mpcp_obs::record_elapsed("gbt.binning_ns", t);
+            mpcp_obs::record_elapsed!("gbt.binning_ns", t);
             b
         };
 

@@ -320,7 +320,7 @@ pub fn fit_hist(
                 counts,
             ),
         }
-        mpcp_obs::record_elapsed("gbt.hist.build_ns", t);
+        mpcp_obs::record_elapsed!("gbt.hist.build_ns", t);
     };
 
     let (mut root_hist, mut root_counts) = pool
@@ -386,7 +386,7 @@ pub fn fit_hist(
         for a in std::mem::take(&mut level) {
             let t = mpcp_obs::maybe_now();
             let best = best_split(&a.hist, &a.counts, a.totals, binned, &layout, features, params);
-            mpcp_obs::record_elapsed("gbt.hist.split_ns", t);
+            mpcp_obs::record_elapsed!("gbt.hist.split_ns", t);
             let Some(b) = best else {
                 settle(&a, rows, &mut row_leaf);
                 pool.push((a.hist, a.counts));

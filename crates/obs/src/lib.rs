@@ -70,31 +70,40 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Record a duration histogram sample and bump a counter only when
-/// enabled — the common "timed section" idiom:
+/// Start a timed section: `Some(now)` only when recording is enabled.
+/// The common idiom pairs it with [`record_elapsed!`]:
 ///
 /// ```
 /// let t = mpcp_obs::maybe_now();
 /// // ... hot work ...
-/// mpcp_obs::record_elapsed("stage.ns", t);
+/// mpcp_obs::record_elapsed!("stage.ns", t);
 /// ```
 #[inline(always)]
 pub fn maybe_now() -> Option<std::time::Instant> {
     enabled().then(std::time::Instant::now)
 }
 
-/// Record nanoseconds elapsed since [`maybe_now`] into histogram
-/// `name` (no-op when `t` is `None`, i.e. recording was disabled).
-#[inline]
-pub fn record_elapsed(name: &'static str, t: Option<std::time::Instant>) {
-    if t.is_some() {
-        record_elapsed_in(&metrics::histogram(name), t);
-    }
+/// Record nanoseconds elapsed since [`maybe_now`] into the named
+/// histogram. A `None` start (recording was disabled) costs one
+/// `Option` check and never touches the handle; otherwise the handle
+/// is looked up once per call site and cached, as in
+/// [`counter_add!`], so the call takes no registry lock.
+#[macro_export]
+macro_rules! record_elapsed {
+    ($name:literal, $t:expr) => {{
+        if let ::std::option::Option::Some(t0) = $t {
+            static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Histogram>> =
+                ::std::sync::OnceLock::new();
+            HANDLE
+                .get_or_init(|| $crate::metrics::histogram($name))
+                .record(t0.elapsed().as_nanos() as u64);
+        }
+    }};
 }
 
-/// [`record_elapsed`] into a histogram handle the caller keeps, so the
-/// call takes no registry lock (handles stay valid across
-/// [`metrics::reset`]).
+/// [`record_elapsed!`] into a histogram handle the caller keeps (for
+/// names built at run time); it takes no registry lock either
+/// (handles stay valid across [`metrics::reset`]).
 #[inline]
 pub fn record_elapsed_in(hist: &metrics::Histogram, t: Option<std::time::Instant>) {
     if let Some(t0) = t {

@@ -8,7 +8,8 @@
 //! every metric in place and marks it untouched, and [`snapshot`] lists
 //! only the metrics recorded into since the last reset. The
 //! [`crate::counter_add!`] / [`crate::gauge_set!`] /
-//! [`crate::hist_record!`] macros therefore look their handle up once
+//! [`crate::hist_record!`] / [`crate::record_elapsed!`] macros
+//! therefore look their handle up once
 //! per call site and cache it; a second recording session after a
 //! reset is still counted. The disabled path stays a single atomic
 //! load.
@@ -501,6 +502,7 @@ mod tests {
         crate::counter_add!("test.session.count", v);
         crate::gauge_set!("test.session.gauge", v as f64);
         crate::hist_record!("test.session.hist", v);
+        crate::record_elapsed!("test.session.elapsed", crate::maybe_now());
     }
 
     fn session_names(snap: &MetricsSnapshot) -> Vec<&str> {
@@ -529,6 +531,8 @@ mod tests {
         let hist = snap.histograms.iter().find(|(n, _)| n == "test.session.hist");
         let hist = hist.map(|(_, h)| (h.count(), h.sum, h.min, h.max));
         assert_eq!(hist, Some((1, 3, 3, 3)));
+        let elapsed = snap.histograms.iter().find(|(n, _)| n == "test.session.elapsed");
+        assert_eq!(elapsed.map(|(_, h)| h.count()), Some(1));
     }
 
     #[test]
@@ -551,7 +555,7 @@ mod tests {
         reset();
         let count = snap.counters.iter().find(|(n, _)| n == "test.session.count");
         assert_eq!(count.map(|(_, v)| *v), Some(1));
-        assert_eq!(session_names(&snap).len(), 3);
+        assert_eq!(session_names(&snap).len(), 4);
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl<'m> Simulator<'m> {
             span.set_attr("bytes_intra", r.bytes_intra);
             span.set_attr("sim_us", r.makespan().as_micros_f64());
         }
-        mpcp_obs::record_elapsed("simnet.run.wall_ns", wall);
+        mpcp_obs::record_elapsed!("simnet.run.wall_ns", wall);
         result
     }
 }

@@ -1,8 +1,8 @@
 #!/bin/bash
-# Final experiment pass. Full grids for the budget-accounting check (d4
-# regenerates in ~3 min); the extension/ablation experiments run at
-# whatever scale the remaining session budget allows (MPCP_FAST=1 for
-# smoke scale — rerun without it for full grids).
+# Final experiment pass. Full grids for the budget-accounting check
+# (read from d4's store once it is measured); the extension/ablation
+# experiments run at whatever scale the remaining session budget allows
+# (MPCP_FAST=1 for smoke scale — rerun without it for full grids).
 set -u
 cd "$(dirname "$0")"
 BIN=target/release
