@@ -294,7 +294,7 @@ impl GbtModel {
                     }
                 }
             }
-            let (tree, leaf) = fit_hist(&binned, &g, &h, &tree_params, &features, None);
+            let (tree, leaf) = fit_hist(&binned, &g, &h, &tree_params, &features);
             if mu_fast {
                 factor.clear();
                 factor.extend(tree.nodes.iter().map(|nd| (params.eta * nd.value).exp()));

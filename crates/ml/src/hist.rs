@@ -224,36 +224,20 @@ struct HistSplit {
 /// a bin that is empty within the node — the induced training-row
 /// partition is identical either way.
 ///
-/// Returns the tree plus each row's leaf node id (`u32::MAX` for rows
-/// excluded by a zero sample weight), so boosting can update scores —
-/// or multiplicative response caches, via per-leaf factors — without
-/// re-traversing the tree.
+/// Returns the tree plus each row's leaf node id, so boosting can
+/// update scores — or multiplicative response caches, via per-leaf
+/// factors — without re-traversing the tree.
 pub fn fit_hist(
     binned: &BinnedDataset,
     g: &[f64],
     h: &[f64],
     params: &TreeParams,
     features: &[usize],
-    sample_weight: Option<&[u32]>,
 ) -> (GradTree, Vec<u32>) {
     let n = binned.len();
     assert_eq!(g.len(), n);
     assert_eq!(h.len(), n);
     let layout = HistLayout::new(binned);
-
-    // In the weighted case, fold the weights into an interleaved (g·w,
-    // h·w) array once so the histogram builds carry no weight branch in
-    // their inner loop. Unweighted fits read `g`/`h` directly — no
-    // extra O(n) packing pass per round.
-    let packed: Option<Vec<f64>> = sample_weight.map(|w| {
-        let mut gh = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            let wi = w[i] as f64;
-            gh.push(g[i] * wi);
-            gh.push(h[i] * wi);
-        }
-        gh
-    });
 
     // One entry per active node at the current level:
     // (node id, row range start, row range len, totals, histogram).
@@ -280,10 +264,7 @@ pub fn fit_hist(
 
     // Active rows, partitioned into contiguous per-node segments.
     rows.clear();
-    match sample_weight {
-        None => rows.extend(0..n as u32),
-        Some(w) => rows.extend((0..n as u32).filter(|&i| w[i as usize] > 0)),
-    }
+    rows.extend(0..n as u32);
     let mut row_leaf = vec![LEAF; n];
 
     // Scratch buffer for the stable partition (right-block staging).
@@ -294,32 +275,9 @@ pub fn fit_hist(
     let offs: Vec<usize> = features.iter().map(|&f| STAT * layout.offset[f]).collect();
     let coffs: Vec<usize> = features.iter().map(|&f| layout.offset[f]).collect();
 
-    // One dispatch on the weight case; every histogram build below goes
-    // through this closure with a branch-free row loader.
     let build = |rows: &[u32], hist: &mut [f64], counts: &mut [u32]| {
         let t = mpcp_obs::maybe_now();
-        match &packed {
-            None => accumulate_rows(
-                binned,
-                rows,
-                |i| (g[i], h[i]),
-                features,
-                &offs,
-                &coffs,
-                hist,
-                counts,
-            ),
-            Some(gh) => accumulate_rows(
-                binned,
-                rows,
-                |i| (gh[2 * i], gh[2 * i + 1]),
-                features,
-                &offs,
-                &coffs,
-                hist,
-                counts,
-            ),
-        }
+        accumulate_rows(binned, rows, g, h, features, &offs, &coffs, hist, counts);
         mpcp_obs::record_elapsed!("gbt.hist.build_ns", t);
     };
 
@@ -341,11 +299,7 @@ pub fn fit_hist(
     } else {
         rows.iter().fold((0.0, 0.0), |acc, &iu| {
             let i = iu as usize;
-            let (gi, hi) = match &packed {
-                None => (g[i], h[i]),
-                Some(gh) => (gh[2 * i], gh[2 * i + 1]),
-            };
-            (acc.0 + gi, acc.1 + hi)
+            (acc.0 + g[i], acc.1 + h[i])
         })
     };
     let mut nodes: Vec<Node> = vec![Node {
@@ -479,8 +433,8 @@ pub fn fit_hist(
 /// Accumulate the (g, h) histogram and row counts of one row set into
 /// `out`/`counts` (the caller zeroes the buffers) in one pass over
 /// `rows` feeding every feature's histogram: the row's codes share a
-/// cache line and its (weight-folded) (g, h) pair is loaded once,
-/// instead of once per feature.
+/// cache line and its (g, h) pair is loaded once, instead of once per
+/// feature.
 ///
 /// Consecutive rows with **identical code rows** are collapsed into a
 /// running (Σg, Σh, count) before touching any bin. Grid-style training
@@ -494,10 +448,11 @@ pub fn fit_hist(
 /// `nfeat`-byte compare, which is noise.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn accumulate_rows<L: Fn(usize) -> (f64, f64) + Copy>(
+fn accumulate_rows(
     binned: &BinnedDataset,
     rows: &[u32],
-    load: L,
+    g: &[f64],
+    h: &[f64],
     features: &[usize],
     offs: &[usize],
     coffs: &[usize],
@@ -518,11 +473,11 @@ fn accumulate_rows<L: Fn(usize) -> (f64, f64) + Copy>(
     let mut it = rows.iter();
     let Some(&first) = it.next() else { return };
     let mut run = first as usize;
-    let (mut gs, mut hs) = load(run);
+    let (mut gs, mut hs) = (g[run], h[run]);
     let mut cnt = 1u32;
     for &iu in it {
         let i = iu as usize;
-        let (gi, hi) = load(i);
+        let (gi, hi) = (g[i], h[i]);
         if binned.codes[i * nfeat..i * nfeat + nfeat]
             == binned.codes[run * nfeat..run * nfeat + nfeat]
         {
@@ -630,7 +585,7 @@ mod tests {
         let (g, h) = squared_error_stats(data.targets());
         let binned = BinnedDataset::from_dataset(data, BinnedDataset::MAX_BINS);
         let feats: Vec<usize> = (0..data.nfeat()).collect();
-        fit_hist(&binned, &g, &h, params, &feats, None)
+        fit_hist(&binned, &g, &h, params, &feats)
     }
 
     #[test]
@@ -682,22 +637,6 @@ mod tests {
         assert!((t.predict(&[1.0]) - 4.0).abs() < 1e-9);
         assert_eq!(t.node_count(), 1);
         assert!(leaf.iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn sample_weights_zero_excludes_rows() {
-        let mut d = Dataset::new(1);
-        d.push(&[0.0], 0.0);
-        d.push(&[1.0], 100.0);
-        d.push(&[2.0], 100.0);
-        let (g, h) = squared_error_stats(d.targets());
-        let binned = BinnedDataset::from_dataset(&d, 256);
-        let params = TreeParams { lambda: 0.0, min_child_weight: 0.5, ..Default::default() };
-        let (t, leaf) = fit_hist(&binned, &g, &h, &params, &[0], Some(&[0, 1, 1]));
-        assert!((t.predict(&[0.0]) - 100.0).abs() < 1e-9);
-        // Excluded row keeps the sentinel leaf id.
-        assert_eq!(leaf[0], LEAF);
-        assert_ne!(leaf[1], LEAF);
     }
 
     #[test]

@@ -61,7 +61,7 @@ proptest! {
         let exact = GradTree::fit(&d, &sorted, &g, &h, &params, &features, None);
 
         let binned = BinnedDataset::from_dataset(&d, BinnedDataset::MAX_BINS);
-        let (hist, row_leaf) = fit_hist(&binned, &g, &h, &params, &features, None);
+        let (hist, row_leaf) = fit_hist(&binned, &g, &h, &params, &features);
 
         prop_assert_eq!(exact.node_count(), hist.node_count());
         for (i, &leaf) in row_leaf.iter().enumerate() {
@@ -137,7 +137,7 @@ proptest! {
             max_depth: 6, min_child_weight: 1.0, lambda: 1.0, gamma: 0.0,
         };
         let binned = BinnedDataset::from_dataset(&d, max_bins);
-        let (tree, row_leaf) = fit_hist(&binned, &g, &h, &params, &[0, 1], None);
+        let (tree, row_leaf) = fit_hist(&binned, &g, &h, &params, &[0, 1]);
         for (i, &leaf) in row_leaf.iter().enumerate() {
             let p = tree.predict(d.row(i));
             prop_assert!(p.is_finite());
