@@ -198,7 +198,7 @@ mod tests {
         let daemon = std::thread::spawn(move || {
             run_args(&[
                 "served", "--model", &model_s, "--addr", "127.0.0.1:0", "--addr-out", &addr_s,
-                "--workers", "1", "--max-batch", "8",
+                "--max-misses", "1",
             ])
         });
         let t0 = std::time::Instant::now();
@@ -881,5 +881,8 @@ mod tests {
         let learner = ["--learner", "knn"];
         let err = run_args(&[&["select", "--model", "m"][..], &query, &learner].concat());
         assert_eq!(err.unwrap_err(), "unknown flag --learner for select");
+        // The daemon has no batch queue: its old queue bound is gone.
+        let err = run_args(&["served", "--model", "m", "--max-queue", "4"]).unwrap_err();
+        assert_eq!(err, "unknown flag --max-queue for served");
     }
 }

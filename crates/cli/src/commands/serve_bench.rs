@@ -466,7 +466,7 @@ struct WirePhase {
     ok: u64,
     /// Degraded (shed) selections.
     shed: u64,
-    /// Typed error replies (overloaded, timeout, ...).
+    /// Typed error replies (overloaded, unknown shard, ...).
     errors: u64,
 }
 
@@ -583,8 +583,8 @@ fn wire_phase(
 ///    `--window` requests in flight each.
 /// 3. **Overload burst** (with `--overload-burst N`) — each
 ///    connection blasts N requests open-loop before reading a single
-///    reply, pushing the daemon's admission queue past its cap. The
-///    daemon answers cached cells at admission, without the queue, so
+///    reply, so the connections' misses compete for the daemon's miss
+///    slots (`mpcp served --max-misses`). Only a miss takes a slot, so
 ///    the burst asks for cells off the grid that no earlier phase
 ///    warmed. The phase asserts exactly one reply per request: shed
 ///    and overloaded answers are counted, never dropped.

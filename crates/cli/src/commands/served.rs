@@ -10,11 +10,13 @@ use crate::args::Args;
 /// `mpcp served`: serve a saved model artifact over TCP. Requests and
 /// responses are length-framed with the persist codec (magic, version,
 /// kind, checksum — see DESIGN §15) and pipelined per connection.
-/// Admission is bounded by `--max-queue`: overloaded requests are shed
-/// to the library's built-in decision logic and the reply is marked
-/// degraded; once `--max-shed-inflight` concurrent fallbacks are in
-/// flight the daemon answers a typed `overloaded` error instead.
-/// Nothing queues unboundedly and nothing is silently dropped.
+/// Each connection's reader answers cache hits and computes misses
+/// itself; `--max-misses` bounds the misses computed at once across
+/// the daemon, and a miss beyond it is shed to the library's built-in
+/// decision logic with the reply marked degraded. Once
+/// `--max-shed-inflight` concurrent fallbacks are in flight the daemon
+/// answers a typed `overloaded` error instead. Nothing queues
+/// unboundedly and nothing is silently dropped.
 ///
 /// Runs until a wire `shutdown` op arrives (`mpcp serve-bench
 /// --connect <addr> --shutdown-server`) or `--duration` elapses, then
@@ -23,16 +25,13 @@ use crate::args::Args;
 /// published for `mpcp top`; `--addr-out` writes the resolved listen
 /// address (use `--addr 127.0.0.1:0` for an ephemeral port).
 pub fn served(args: &Args) -> Result<String, String> {
-    use mpcp_serve::{BatchConfig, NetConfig, NetServer, PredictionService, ShedFn};
+    use mpcp_serve::{NetConfig, NetServer, PredictionService, ShedFn};
 
     let path = args.require("model")?;
     let addr = args.get_or("addr", "127.0.0.1:0").to_string();
-    let workers = args.value_or("workers", 2usize)?;
-    let max_batch = args.value_or("max-batch", 64usize)?;
-    let max_queue = args.value_or("max-queue", 1024usize)?;
+    let max_misses = args.value_or("max-misses", 1024usize)?;
     let cache = args.value_or("cache", 4096usize)?;
     let idle_ms = args.value_or("idle-timeout-ms", 300_000u64)?;
-    let reply_ms = args.value_or("reply-timeout-ms", 30_000u64)?;
     let max_shed_inflight = args.value_or("max-shed-inflight", 64usize)?;
     let duration = args.value_or("duration", 0.0f64)?;
     let stats_out = args.get("stats-out");
@@ -73,13 +72,8 @@ pub fn served(args: &Args) -> Result<String, String> {
     };
     let cfg = NetConfig {
         addr,
-        batch: BatchConfig {
-            workers: workers.max(1),
-            max_batch: max_batch.max(1),
-            max_queue: max_queue.max(1),
-        },
+        max_misses,
         idle_timeout: std::time::Duration::from_millis(idle_ms.max(1)),
-        reply_timeout: std::time::Duration::from_millis(reply_ms.max(1)),
         max_shed_inflight,
     };
     let server = NetServer::start(std::sync::Arc::clone(&svc), shed, cfg)

@@ -96,12 +96,12 @@ COMMANDS:
               [--requests 4000] [--window 32] [--overload-burst <n>]
               [--max-p99-ms <x>] [--shutdown-server] [--out <file>]
   served      serve a model artifact over TCP: persist-codec framed
-              requests, pipelined per connection, bounded admission
-              queue with degraded load shedding; runs until the wire
+              requests, pipelined per connection, misses computed on
+              each connection's reader under a daemon-wide bound, with
+              degraded load shedding past it; runs until the wire
               shutdown op or --duration
               --model <file> [--addr 127.0.0.1:0] [--addr-out <file>]
-              [--workers 2] [--max-batch 64] [--max-queue 1024]
-              [--idle-timeout-ms 300000] [--reply-timeout-ms 30000]
+              [--max-misses 1024] [--idle-timeout-ms 300000]
               [--max-shed-inflight 64] [--cache 4096]
               [--duration <secs>] [--stats-out <file>]
   top         watch a running serve-bench or served session's live

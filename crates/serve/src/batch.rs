@@ -85,22 +85,9 @@ impl Ticket {
         self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
     }
 
-    /// The reply if the worker has already answered, without blocking.
-    /// `None` means "not yet": the ticket stays live for a later
-    /// [`Ticket::wait_timeout`]. The daemon's writer uses it to flush
-    /// the replies it holds before it blocks on an unresolved ticket.
-    pub fn try_take(&self) -> Option<Result<Selection, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(reply) => Some(reply),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Disconnected)),
-        }
-    }
-
     /// Like [`Ticket::wait`], but give up after `timeout` with
-    /// [`ServeError::Timeout`]. The daemon reply path uses this so a
-    /// wedged worker turns into a typed error on the wire instead of a
-    /// connection that hangs forever.
+    /// [`ServeError::Timeout`], so a wedged worker turns into a typed
+    /// error instead of a caller that hangs forever.
     pub fn wait_timeout(self, timeout: std::time::Duration) -> Result<Selection, ServeError> {
         match self.rx.recv_timeout(timeout) {
             Ok(reply) => reply,
@@ -480,33 +467,6 @@ mod tests {
             .wait_timeout(Duration::from_secs(30))
             .expect("live worker answers in time");
         assert!(!sel.degraded);
-        server.shutdown();
-    }
-
-    #[test]
-    fn try_take_is_none_until_the_worker_answers() {
-        let (svc, key, coll) = fixture_service();
-        let gate = Gate::new();
-        let server = BatchServer::start_with_gate(
-            Arc::clone(&svc),
-            BatchConfig { workers: 1, max_batch: 8, max_queue: 8 },
-            gate.as_fn(),
-        );
-        let inst = Instance::new(coll, 512, 2, 1);
-        let ticket = server.submit(key.clone(), inst).expect("admitted");
-        assert!(ticket.try_take().is_none(), "a wedged worker has not answered");
-        gate.release();
-        let t0 = std::time::Instant::now();
-        let got = loop {
-            if let Some(reply) = ticket.try_take() {
-                break reply.expect("served");
-            }
-            assert!(t0.elapsed() < Duration::from_secs(30), "the worker never answered");
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        let want = svc.select_uncached(&key, &inst).expect("oracle");
-        assert_eq!(got.uid, want.uid);
-        assert_eq!(got.predicted_us.map(f64::to_bits), want.predicted_us.map(f64::to_bits));
         server.shutdown();
     }
 

@@ -89,8 +89,9 @@ pub enum ServeError {
     Artifact(ArtifactError),
     /// The batch server shut down (or its worker died) before replying.
     Disconnected,
-    /// The bounded admission queue is full and shedding capacity is
-    /// saturated — the request was refused rather than queued.
+    /// Admission is full — the batch queue, or the daemon's miss slots
+    /// with its shedding saturated too: the request was refused rather
+    /// than queued.
     Overloaded,
     /// The reply did not arrive within the caller's deadline
     /// ([`Ticket::wait_timeout`]); the request may still complete.
@@ -116,7 +117,7 @@ impl fmt::Display for ServeError {
                 write!(f, "batch server disconnected before replying")
             }
             ServeError::Overloaded => {
-                write!(f, "server overloaded: admission queue full")
+                write!(f, "server overloaded: admission full")
             }
             ServeError::Timeout => {
                 write!(f, "timed out waiting for a batch worker to reply")
@@ -162,6 +163,16 @@ impl fmt::Display for ShardKey {
 /// Cache key: the query grid cell. The collective is fixed per shard,
 /// so `(m, n, N)` identifies the instance within it.
 type CacheKey = (u64, u32, u32);
+
+/// How [`PredictionService::select_admitted`] answered a selection.
+pub(crate) enum Answer {
+    /// The shard's LRU held the cell.
+    Hit(Selection),
+    /// A miss, computed under the granted slot and now in the LRU.
+    Computed(Selection),
+    /// A miss the admission refused: nothing was computed.
+    Refused,
+}
 
 /// One loaded artifact plus its private result cache and counters.
 /// Crate-visible so the batch workers can share the cache and
@@ -234,6 +245,22 @@ impl Shard {
     }
 
     fn select(&self, instance: &Instance) -> Result<Selection, ServeError> {
+        match self.select_admitted(instance, || Some(()))? {
+            Answer::Hit(sel) | Answer::Computed(sel) => Ok(sel),
+            // `admit` above never refuses.
+            Answer::Refused => Err(ServeError::Overloaded),
+        }
+    }
+
+    /// [`Shard::select`] with a say over misses: after one LRU probe, a
+    /// miss is computed only if `admit` grants it a slot, which is held
+    /// until the result is in the LRU. A refused miss computes nothing
+    /// and moves no hit or miss counter.
+    fn select_admitted<G>(
+        &self,
+        instance: &Instance,
+        admit: impl FnOnce() -> Option<G>,
+    ) -> Result<Answer, ServeError> {
         self.check_collective(instance)?;
         let t = mpcp_obs::maybe_now();
         // Windowed recording is active only after `enable_telemetry`,
@@ -257,11 +284,14 @@ impl Shard {
             if let Some((tl, w)) = tel {
                 tl.record_hit(start_ns, w);
             }
-            return Ok(sel);
+            return Ok(Answer::Hit(sel));
         }
+        let probe_ns = tel.as_ref().map_or(0, |(tl, _)| tl.now_ns());
+        let Some(_slot) = admit() else {
+            return Ok(Answer::Refused);
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         mpcp_obs::counter_add!("serve.cache_misses", 1);
-        let probe_ns = tel.as_ref().map_or(0, |(tl, _)| tl.now_ns());
         // Computed outside the cache lock: two threads racing on the
         // same cold cell both evaluate the models (identical, pure
         // results), which is cheaper than serializing every miss.
@@ -271,7 +301,7 @@ impl Shard {
         if let Some((tl, w)) = tel {
             tl.record_scalar_miss(start_ns, probe_ns, tl.now_ns(), w);
         }
-        Ok(sel)
+        Ok(Answer::Computed(sel))
     }
 
     pub(crate) fn cache_insert(&self, instance: &Instance, sel: Selection) {
@@ -280,27 +310,6 @@ impl Shard {
 
     pub(crate) fn cache_lookup(&self, instance: &Instance) -> Option<Selection> {
         lock(&self.cache).get(&(instance.msize, instance.nodes, instance.ppn))
-    }
-
-    /// The daemon's admission-time probe: a cache hit, counted (and
-    /// recorded in the telemetry windows) like a batch-path hit. A miss
-    /// or a collective mismatch touches no counter — the request then
-    /// goes through the batch path, which probes and counts it.
-    pub(crate) fn cached(&self, instance: &Instance) -> Option<Selection> {
-        if instance.coll != self.meta.collective {
-            return None;
-        }
-        let tel = self.telemetry.get();
-        let start_ns = tel.map_or(0, telemetry::ShardTelemetry::now_ns);
-        let sel = self.cache_lookup(instance)?;
-        // ORDERING: Relaxed — monotonic stat counter; readers only ever
-        // sum it, nothing is published under it.
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        mpcp_obs::counter_add!("serve.cache_hits", 1);
-        if let Some(tl) = tel {
-            tl.record_hit(start_ns, 1);
-        }
-        Some(sel)
     }
 
     /// A minimal real shard (tiny KNN fixture, trained once per test
@@ -582,10 +591,19 @@ impl PredictionService {
         })
     }
 
-    /// The cached answer of the shard routed to by `key`, counted as a
-    /// hit ([`Shard::cached`]); `None` for a miss or an unknown shard.
-    pub(crate) fn cached(&self, key: &ShardKey, instance: &Instance) -> Option<Selection> {
-        self.shards.with(|map| map.get(key)?.cached(instance))
+    /// [`PredictionService::select`] for the daemon's admission: a
+    /// miss is computed only under a slot `admit` grants
+    /// ([`Shard::select_admitted`]).
+    pub(crate) fn select_admitted<G>(
+        &self,
+        key: &ShardKey,
+        instance: &Instance,
+        admit: impl FnOnce() -> Option<G>,
+    ) -> Result<Answer, ServeError> {
+        self.shards.with(|map| match map.get(key) {
+            Some(shard) => shard.select_admitted(instance, admit),
+            None => Err(ServeError::UnknownShard { key: key.clone() }),
+        })
     }
 
     /// Answer an argmin query evaluating every model, bypassing (and

@@ -7,33 +7,36 @@
 //! in the reply, and a connection may pipeline any number of requests;
 //! replies come back in request order.
 //!
-//! Overload never queues without bound and never drops a connection:
-//! a cache miss is admitted to the *bounded* [`BatchServer`] queue, and
-//! a miss the queue refuses is **shed** — answered synchronously from
-//! the injected fallback ([`ShedFn`], the library-default decision
-//! logic) with the reply marked `degraded`. Only when even shedding is saturated
+//! Overload never queues without bound and never drops a connection.
+//! Each connection's reader answers a select itself, through one probe
+//! of the routed shard's LRU: a hit is answered on the spot (a *cached*
+//! reply), and a miss is computed on the reader and fills the LRU, as
+//! [`PredictionService::select`] does. At most `max_misses` misses are
+//! computed at once across the daemon; a miss beyond that bound is
+//! **shed** — answered synchronously from the injected fallback
+//! ([`ShedFn`], the library-default decision logic) with the reply
+//! marked `degraded`. Only when even shedding is saturated
 //! (`max_shed_inflight` concurrent fallback computations) does the
 //! daemon return a typed `overloaded` error, still a well-formed reply
-//! on the wire.
+//! on the wire. A connection's own backlog waits in its socket, under
+//! TCP flow control, while its reader works.
 //!
 //! Each connection gets a reader thread and a writer thread, joined by
 //! a channel whose order is the reply order. The reader reads frames
 //! through one buffered reader, so a pipelined burst costs one `read`
-//! rather than two per frame. It answers a request whose cell the
-//! routed shard's LRU holds on the spot (a *cached* reply, still
-//! counted as accepted) and queues only misses; the hit still goes
-//! through the channel, behind every earlier reply. The writer
-//! resolves batch tickets under a deadline and encodes every reply
-//! into one buffer, written with a single `write_all` when the channel
-//! runs dry, before it blocks on an unresolved ticket, or once the
-//! buffer is full. Writing stays off the reader thread: a client that
-//! sends a whole burst before reading a reply would otherwise stall the
-//! reader in `write` while its own requests go unread. An idle
-//! connection, also one stalled mid-frame, is closed after
-//! `idle_timeout`. Shutdown — the wire `shutdown` op or
-//! [`NetServer::stop`] — stops accepting, half-closes every
-//! connection's read side, drains every accepted request to a written
-//! reply, and joins all threads.
+//! rather than two per frame, and hands every reply to the writer.
+//! Computing a miss holds up only the frames behind it, whose replies
+//! could not be written before the miss's reply anyway. The writer
+//! encodes every reply into one buffer, written with a single
+//! `write_all` when the channel runs dry (so hits are written while
+//! the reader computes a miss) or once the buffer is full. Writing
+//! stays off the reader thread: a client that sends a whole burst
+//! before reading a reply would otherwise stall the reader in `write`
+//! while its own requests go unread. An idle connection, also one
+//! stalled mid-frame, is closed after `idle_timeout`. Shutdown — the
+//! wire `shutdown` op or [`NetServer::stop`] — stops accepting,
+//! half-closes every connection's read side, drains every accepted
+//! request to a written reply, and joins all threads.
 //!
 //! The client, [`NetClient`], coalesces pipelined requests. A request
 //! sent while a whole reply is already buffered waits in the client's
@@ -60,8 +63,7 @@ use mpcp_ml::persist::{
     Persist, FRAME_HEADER_LEN, KIND_NET_REQUEST, KIND_NET_RESPONSE,
 };
 
-use crate::batch::{BatchConfig, BatchServer, Ticket};
-use crate::{lock, PredictionService, ServeError, ShardKey};
+use crate::{lock, Answer, PredictionService, ServeError, ShardKey};
 
 /// Hard cap on a single message payload. Requests and responses are a
 /// few dozen bytes plus a scope string; anything near this limit is a
@@ -94,7 +96,9 @@ pub const ERR_ARTIFACT: u8 = 4;
 pub const ERR_DISCONNECTED: u8 = 5;
 /// Wire error code for [`ServeError::Overloaded`].
 pub const ERR_OVERLOADED: u8 = 6;
-/// Wire error code for [`ServeError::Timeout`].
+/// Wire error code for [`ServeError::Timeout`]. Kept in the stable
+/// code table, but this daemon no longer sends it: it has no reply
+/// deadline, since every miss is computed on the connection's reader.
 pub const ERR_TIMEOUT: u8 = 7;
 
 fn error_code(e: &ServeError) -> u8 {
@@ -436,7 +440,7 @@ fn read_request(reader: &mut BufReader<TcpStream>, payload: &mut Vec<u8>) -> Rea
 // Server
 // ---------------------------------------------------------------------
 
-/// Fallback used when the admission queue refuses a request: compute a
+/// Fallback used when admission refuses a miss: compute a
 /// cheap library-default selection for the instance (`None` when the
 /// shard key is unknown). The daemon marks the reply `degraded`.
 pub type ShedFn = Arc<dyn Fn(&ShardKey, &Instance) -> Option<Selection> + Send + Sync>;
@@ -447,14 +451,12 @@ pub struct NetConfig {
     /// Bind address (`127.0.0.1:0` picks a free port; see
     /// [`NetServer::local_addr`]).
     pub addr: String,
-    /// Batch-server pool feeding [`PredictionService`]; its `max_queue`
-    /// is the admission bound that triggers shedding.
-    pub batch: BatchConfig,
+    /// Cache misses computed at once across the daemon (floored at
+    /// 1); a miss beyond it is shed. Each connection computes one miss
+    /// at a time, so only more connections than this can shed.
+    pub max_misses: usize,
     /// Close a connection that sends nothing for this long.
     pub idle_timeout: Duration,
-    /// Deadline for a batch worker to answer an admitted request;
-    /// beyond it the client gets a typed `timeout` error.
-    pub reply_timeout: Duration,
     /// Concurrent shed (fallback) computations beyond which the daemon
     /// answers `overloaded` instead of shedding.
     pub max_shed_inflight: usize,
@@ -464,9 +466,8 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
-            batch: BatchConfig::default(),
+            max_misses: 1024,
             idle_timeout: Duration::from_secs(300),
-            reply_timeout: Duration::from_secs(30),
             max_shed_inflight: 64,
         }
     }
@@ -477,18 +478,18 @@ impl Default for NetConfig {
 pub struct NetStatsSnapshot {
     /// Select requests decoded off the wire.
     pub requests: u64,
-    /// Requests admitted: answered from the shard's cache at admission
-    /// or queued for a batch worker.
+    /// Requests admitted: answered from the shard's cache or computed
+    /// under a miss slot (an error reply for an unknown shard counts
+    /// here too).
     pub accepted: u64,
-    /// Admitted requests answered from the shard's cache at admission,
-    /// without a queue slot, a worker or a ticket (a subset of
-    /// `accepted`).
+    /// Admitted requests answered from the shard's cache, without a
+    /// miss slot (a subset of `accepted`).
     pub cached: u64,
     /// Requests answered by the degraded fallback.
     pub shed: u64,
     /// Requests refused with a typed `overloaded` error.
     pub overloaded: u64,
-    /// Error replies written (includes `overloaded` and timeouts).
+    /// Error replies written (includes `overloaded`).
     pub errors: u64,
     /// Connections currently open.
     pub connections_open: u64,
@@ -500,13 +501,16 @@ pub struct NetStatsSnapshot {
     pub inflight: u64,
 }
 
+/// Test hook run before each admitted miss is computed.
+type MissGate = Arc<dyn Fn() + Send + Sync>;
+
 struct NetShared {
-    /// Probed at admission for cache hits; misses go to `batch`.
+    /// Answers every select: hits from the LRU, misses computed.
     service: Arc<PredictionService>,
-    batch: BatchServer,
     shed: ShedFn,
+    gate: Option<MissGate>,
     idle_timeout: Duration,
-    reply_timeout: Duration,
+    max_misses: usize,
     max_shed_inflight: usize,
     local_addr: SocketAddr,
     stop: AtomicBool,
@@ -523,6 +527,7 @@ struct NetShared {
     connections_total: AtomicU64,
     idle_closed: AtomicU64,
     inflight: AtomicU64,
+    misses_inflight: AtomicU64,
     shed_inflight: AtomicU64,
 }
 
@@ -558,14 +563,34 @@ impl NetShared {
     }
 }
 
-/// What the connection writer sends next, in request order. `t0` is
-/// the admission time, taken only while metrics are recorded.
-enum WriterItem {
-    /// A queued request: resolve the ticket under the reply deadline.
-    Pending { req_id: u64, ticket: Ticket, t0: Option<Instant> },
-    /// An already-resolved reply (cache hit, shed, error, or shutdown
-    /// ack).
-    Ready { resp: NetResponse, t0: Option<Instant> },
+/// What the connection writer sends next, in request order: a reply
+/// and, while metrics are recorded, its admission time.
+type WriterItem = (NetResponse, Option<Instant>);
+
+/// One of at most `cap` concurrent holders counted by an atomic,
+/// released on drop: the daemon's miss and shed slots.
+struct Slot<'a>(&'a AtomicU64);
+
+impl Slot<'_> {
+    fn take(count: &AtomicU64, cap: usize) -> Option<Slot<'_>> {
+        // ORDERING: AcqRel — the increment is an admission decision,
+        // not a statistic: it must be globally ordered against
+        // concurrent increments.
+        if count.fetch_add(1, Ordering::AcqRel) >= cap as u64 {
+            // ORDERING: AcqRel — undoes the refused increment.
+            count.fetch_sub(1, Ordering::AcqRel);
+            return None;
+        }
+        Some(Slot(count))
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // ORDERING: AcqRel — the release must not sink below the work
+        // the slot admitted.
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// The serving daemon. Start with [`NetServer::start`]; stop with the
@@ -587,9 +612,9 @@ impl NetServer {
         NetServer::start_inner(service, shed, cfg, None)
     }
 
-    /// [`NetServer::start`] with a test-only batch-worker gate (see
-    /// `BatchServer::start_with_gate`) so overload tests can wedge the
-    /// workers deterministically.
+    /// [`NetServer::start`] with a test-only gate that runs on the
+    /// reader after a miss is admitted and before it is computed, so
+    /// overload tests can hold a miss slot deterministically.
     #[doc(hidden)]
     pub fn start_with_gate(
         service: Arc<PredictionService>,
@@ -604,20 +629,16 @@ impl NetServer {
         service: Arc<PredictionService>,
         shed: ShedFn,
         cfg: NetConfig,
-        gate: Option<Arc<dyn Fn() + Send + Sync>>,
+        gate: Option<MissGate>,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let batch = match gate {
-            None => BatchServer::start(Arc::clone(&service), cfg.batch),
-            Some(g) => BatchServer::start_with_gate(Arc::clone(&service), cfg.batch, g),
-        };
         let shared = Arc::new(NetShared {
             service,
-            batch,
             shed,
+            gate,
             idle_timeout: cfg.idle_timeout,
-            reply_timeout: cfg.reply_timeout,
+            max_misses: cfg.max_misses.max(1),
             max_shed_inflight: cfg.max_shed_inflight,
             local_addr,
             stop: AtomicBool::new(false),
@@ -634,6 +655,7 @@ impl NetServer {
             connections_total: AtomicU64::new(0),
             idle_closed: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
+            misses_inflight: AtomicU64::new(0),
             shed_inflight: AtomicU64::new(0),
         });
         let accept = {
@@ -673,9 +695,6 @@ impl NetServer {
     pub fn join(mut self) -> NetStatsSnapshot {
         self.stop_and_join_threads();
         self.shared.stats()
-        // Dropping `self` here releases the last `Arc<NetShared>` (all
-        // connection threads are joined), which drops the inner
-        // `BatchServer` — draining its queue and joining its workers.
     }
 
     fn stop_and_join_threads(&mut self) {
@@ -811,7 +830,7 @@ fn conn_reader(shared: &Arc<NetShared>, stream: TcpStream, conn_id: u64) {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 shared.inflight.fetch_add(1, Ordering::Relaxed);
                 mpcp_obs::counter_add!("serve.net.requests", 1);
-                if tx.send(admit(shared, req_id, key, instance, t0)).is_err() {
+                if tx.send((admit(shared, req_id, &key, &instance), t0)).is_err() {
                     break; // writer died; nothing can be answered
                 }
             }
@@ -820,10 +839,7 @@ fn conn_reader(shared: &Arc<NetShared>, stream: TcpStream, conn_id: u64) {
                 // client that has received the ack must observe
                 // `running() == false`, in that order.
                 shared.begin_stop();
-                let _ = tx.send(WriterItem::Ready {
-                    resp: NetResponse::ShutdownAck { req_id },
-                    t0: None,
-                });
+                let _ = tx.send((NetResponse::ShutdownAck { req_id }, None));
                 break;
             }
             ReadFrame::Idle => {
@@ -842,58 +858,41 @@ fn conn_reader(shared: &Arc<NetShared>, stream: TcpStream, conn_id: u64) {
     close_conn(shared, conn_id);
 }
 
-/// Admit one select: answer a cache hit on the spot, queue a miss, or
-/// shed what the bounded queue refuses. A hit still goes to the writer
-/// through the channel, so it is written after every earlier request's
-/// reply.
-fn admit(
-    shared: &Arc<NetShared>,
-    req_id: u64,
-    key: ShardKey,
-    instance: Instance,
-    t0: Option<Instant>,
-) -> WriterItem {
-    if let Some(selection) = shared.service.cached(&key, &instance) {
-        // ORDERING: Relaxed — stat counters.
-        shared.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.cached.fetch_add(1, Ordering::Relaxed);
-        mpcp_obs::counter_add!("serve.net.accepted", 1);
-        mpcp_obs::counter_add!("serve.net.cached", 1);
-        return WriterItem::Ready { resp: NetResponse::Ok { req_id, selection }, t0 };
-    }
-    match shared.batch.submit(key.clone(), instance) {
-        Ok(ticket) => {
+/// Answer one select on the reader: a cache hit at once, a miss
+/// computed under a miss slot, or — with every slot taken — shed.
+fn admit(shared: &NetShared, req_id: u64, key: &ShardKey, instance: &Instance) -> NetResponse {
+    let answer = shared.service.select_admitted(key, instance, || {
+        let slot = Slot::take(&shared.misses_inflight, shared.max_misses)?;
+        if let Some(gate) = &shared.gate {
+            gate();
+        }
+        Some(slot)
+    });
+    let resp = match answer {
+        Ok(Answer::Refused) => return shed_reply(shared, req_id, key, instance),
+        Ok(Answer::Hit(selection)) => {
             // ORDERING: Relaxed — stat counter.
-            shared.accepted.fetch_add(1, Ordering::Relaxed);
-            mpcp_obs::counter_add!("serve.net.accepted", 1);
-            WriterItem::Pending { req_id, ticket, t0 }
+            shared.cached.fetch_add(1, Ordering::Relaxed);
+            mpcp_obs::counter_add!("serve.net.cached", 1);
+            NetResponse::Ok { req_id, selection }
         }
-        Err(ServeError::Overloaded) => {
-            WriterItem::Ready { resp: shed_reply(shared, req_id, &key, &instance), t0 }
-        }
-        Err(e) => WriterItem::Ready { resp: error_reply(shared, req_id, &e), t0 },
-    }
+        Ok(Answer::Computed(selection)) => NetResponse::Ok { req_id, selection },
+        Err(e) => error_reply(shared, req_id, &e),
+    };
+    // ORDERING: Relaxed — stat counter.
+    shared.accepted.fetch_add(1, Ordering::Relaxed);
+    mpcp_obs::counter_add!("serve.net.accepted", 1);
+    resp
 }
 
-/// Build the reply for a request the bounded queue refused: shed to the
-/// fallback if shed capacity allows, else a typed `overloaded` error.
-fn shed_reply(
-    shared: &Arc<NetShared>,
-    req_id: u64,
-    key: &ShardKey,
-    instance: &Instance,
-) -> NetResponse {
-    // ORDERING: AcqRel on the shed-admission ticket: the increment
-    // must be globally ordered against concurrent increments (it is an
-    // admission decision, not a statistic) and the decrement must not
-    // sink below the fallback call it releases capacity for.
-    if shared.shed_inflight.fetch_add(1, Ordering::AcqRel) >= shared.max_shed_inflight as u64 {
-        shared.shed_inflight.fetch_sub(1, Ordering::AcqRel);
+/// Build the reply for a miss admission refused: shed to the fallback
+/// if shed capacity allows, else a typed `overloaded` error.
+fn shed_reply(shared: &NetShared, req_id: u64, key: &ShardKey, instance: &Instance) -> NetResponse {
+    let Some(slot) = Slot::take(&shared.shed_inflight, shared.max_shed_inflight) else {
         return error_reply(shared, req_id, &ServeError::Overloaded);
-    }
+    };
     let fallback = (shared.shed)(key, instance);
-    // ORDERING: AcqRel — releases the shed slot taken above.
-    shared.shed_inflight.fetch_sub(1, Ordering::AcqRel);
+    drop(slot);
     match fallback {
         Some(sel) => {
             // ORDERING: Relaxed — stat counter.
@@ -905,7 +904,7 @@ fn shed_reply(
     }
 }
 
-fn error_reply(shared: &Arc<NetShared>, req_id: u64, e: &ServeError) -> NetResponse {
+fn error_reply(shared: &NetShared, req_id: u64, e: &ServeError) -> NetResponse {
     if matches!(e, ServeError::Overloaded) {
         // ORDERING: Relaxed — stat counters, here and below.
         shared.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -926,8 +925,7 @@ struct ReplyBuf {
     /// Buffered replies that settle an `inflight` request.
     counted: u64,
     /// A write failed: the peer is gone. Replies are still drained (so
-    /// tickets resolve and the inflight gauge stays balanced) without
-    /// touching the socket.
+    /// the inflight gauge stays balanced) without touching the socket.
     broken: bool,
 }
 
@@ -974,8 +972,7 @@ fn micros(d: Duration) -> u64 {
 
 /// Write each reply in request order. Replies that are ready back to
 /// back share one `write_all`: the buffer goes out when the channel is
-/// empty, before blocking on a ticket that has not resolved, and when
-/// it passes [`WRITE_BUF`].
+/// empty and when it passes [`WRITE_BUF`].
 fn conn_writer(shared: &Arc<NetShared>, stream: TcpStream, rx: &mpsc::Receiver<WriterItem>) {
     let mut buf = ReplyBuf {
         stream,
@@ -985,7 +982,7 @@ fn conn_writer(shared: &Arc<NetShared>, stream: TcpStream, rx: &mpsc::Receiver<W
         broken: false,
     };
     loop {
-        let item = match rx.try_recv() {
+        let (resp, t0) = match rx.try_recv() {
             Ok(item) => item,
             Err(mpsc::TryRecvError::Empty) => {
                 buf.flush(shared);
@@ -995,20 +992,6 @@ fn conn_writer(shared: &Arc<NetShared>, stream: TcpStream, rx: &mpsc::Receiver<W
                 }
             }
             Err(mpsc::TryRecvError::Disconnected) => break,
-        };
-        let (resp, t0) = match item {
-            WriterItem::Pending { req_id, ticket, t0 } => {
-                let reply = ticket.try_take().unwrap_or_else(|| {
-                    buf.flush(shared);
-                    ticket.wait_timeout(shared.reply_timeout)
-                });
-                let resp = match reply {
-                    Ok(selection) => NetResponse::Ok { req_id, selection },
-                    Err(e) => error_reply(shared, req_id, &e),
-                };
-                (resp, t0)
-            }
-            WriterItem::Ready { resp, t0 } => (resp, t0),
         };
         buf.push(&resp, t0);
         if buf.out.len() >= WRITE_BUF {

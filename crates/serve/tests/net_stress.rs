@@ -1,9 +1,10 @@
 //! Wire-level stress tests for the serving daemon: sustained
 //! multi-connection load with bit-identity against the in-process
-//! service, deterministic overload (wedged workers) that sheds
+//! service, misses computed on the connection's reader with no worker
+//! pool, deterministic overload (a miss wedged in its slot) that sheds
 //! degraded answers instead of dropping or panicking, typed
-//! `overloaded` errors once shedding saturates, cache hits answered at
-//! admission still in request order, pipelined and byte-dribbled
+//! `overloaded` errors once shedding saturates, cache hits still in
+//! request order behind a wedged miss, pipelined and byte-dribbled
 //! framing, idle-timeout housekeeping (also mid-frame), clean
 //! shutdown with zero leaked threads, and the client's coalescing rule
 //! as the daemon sees it (an open-loop burst arrives before any reply
@@ -28,40 +29,63 @@ use mpcp_ml::persist::{
     KIND_NET_RESPONSE,
 };
 use mpcp_ml::Learner;
-use mpcp_serve::net::{NetRequest, NetResponse, ERR_OVERLOADED, ERR_TIMEOUT};
-use mpcp_serve::{
-    BatchConfig, NetClient, NetConfig, NetServer, PredictionService, Reply, ShardKey, ShedFn,
-};
+use mpcp_serve::net::{NetRequest, NetResponse, ERR_OVERLOADED};
+use mpcp_serve::{NetClient, NetConfig, NetServer, PredictionService, Reply, ShardKey, ShedFn};
 
 /// These tests assert on process-wide thread counts and daemon
 /// counters; serialize them so one test's threads never show up in
 /// another's books.
 static NET_LOCK: Mutex<()> = Mutex::new(());
 
-/// A latch the daemon's batch workers block on, so overload tests can
-/// wedge the pipeline deterministically (same shape as the batch
-/// unit tests, rebuilt here because it is test-only).
+/// A latch each admitted miss blocks on before it is computed, so
+/// overload tests can hold the daemon's miss slots deterministically.
+/// It counts the misses that entered it, so a test can wait until one
+/// holds its slot.
 struct Gate {
-    open: Mutex<bool>,
+    state: Mutex<GateState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    open: bool,
+    entered: usize,
 }
 
 impl Gate {
     fn new() -> Arc<Gate> {
-        Arc::new(Gate { open: Mutex::new(false), cv: Condvar::new() })
+        Arc::new(Gate { state: Mutex::new(GateState::default()), cv: Condvar::new() })
     }
 
     fn release(&self) {
-        *self.open.lock().unwrap() = true;
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).open = true;
         self.cv.notify_all();
+    }
+
+    /// Block until `n` misses have entered the gate (10 s at most).
+    fn wait_entered(&self, n: usize) {
+        let t0 = Instant::now();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while st.entered < n && t0.elapsed() < Duration::from_secs(10) {
+            st = self
+                .cv
+                .wait_timeout(st, Duration::from_millis(50))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        let entered = st.entered;
+        drop(st);
+        assert!(entered >= n, "{entered} of {n} misses reached the gate");
     }
 
     fn as_fn(self: &Arc<Gate>) -> Arc<dyn Fn() + Send + Sync> {
         let g = Arc::clone(self);
         Arc::new(move || {
-            let mut open = g.open.lock().unwrap();
-            while !*open {
-                open = g.cv.wait(open).unwrap();
+            let mut st = g.state.lock().unwrap_or_else(PoisonError::into_inner);
+            st.entered += 1;
+            g.cv.notify_all();
+            while !st.open {
+                st = g.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         })
     }
@@ -69,7 +93,7 @@ impl Gate {
 
 /// Releases a gate when dropped. Declared after the server its gate
 /// wedges, it drops first when a failed assertion unwinds the test, so
-/// the server's drop never joins a worker stuck in the gate: the test
+/// the server's drop never joins a reader stuck in the gate: the test
 /// fails instead of hanging.
 struct ReleaseOnDrop(Arc<Gate>);
 
@@ -104,11 +128,12 @@ fn grid(coll: Collective) -> Vec<Instance> {
 /// starts and retires those threads on its own schedule — also while
 /// another test holds `NET_LOCK` between its baseline and its drain
 /// check.
-const TESTS: [&str; 10] = [
+const TESTS: [&str; 11] = [
     "sustained_multi_connection_load_is_lossless_and_bit_identical",
+    "misses_are_computed_on_the_reader_without_a_worker_pool",
     "wedged_workers_shed_degraded_answers_and_never_drop",
     "saturated_shedding_degrades_to_typed_overloaded_errors",
-    "cache_hits_wait_behind_a_timed_out_miss",
+    "cache_hits_wait_behind_a_wedged_miss",
     "pipelined_and_dribbled_frames_are_answered_in_order",
     "mid_frame_stalls_are_closed_by_the_idle_timeout",
     "idle_connections_are_reaped_and_shutdown_leaks_nothing",
@@ -204,15 +229,8 @@ fn sustained_multi_connection_load_is_lossless_and_bit_identical() {
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
-    let server = NetServer::start(
-        Arc::clone(&svc),
-        always_shed(),
-        NetConfig {
-            batch: BatchConfig { workers: 2, max_batch: 16, max_queue: 4096 },
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let server =
+        NetServer::start(Arc::clone(&svc), always_shed(), NetConfig::default()).unwrap();
     let addr = server.local_addr();
 
     const CLIENTS: usize = 4;
@@ -277,35 +295,109 @@ fn sustained_multi_connection_load_is_lossless_and_bit_identical() {
     assert_threads_drain_to(baseline);
 }
 
+/// Poll until two thread counts 50 ms apart agree: a thread that
+/// just finished (the fixture's training pool) may still be listed.
+fn settled_thread_count() -> usize {
+    let mut last = thread_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = thread_count();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+}
+
+#[test]
+fn misses_are_computed_on_the_reader_without_a_worker_pool() {
+    let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let (svc, key, coll) = fixture_service();
+    let baseline = settled_thread_count();
+    let server =
+        NetServer::start(Arc::clone(&svc), always_shed(), NetConfig::default()).unwrap();
+
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let never_seen = Instance::new(coll, 12_345, 5, 3);
+    let (selection, shed) = client.select(&key, &never_seen).unwrap();
+    assert!(!shed, "an idle daemon computes the miss");
+    assert_bit_identical(&svc, &key, &never_seen, &selection);
+    let cache = svc.stats();
+    assert_eq!((cache.hits(), cache.misses()), (0, 1), "one probe, counted as one miss");
+    // While the connection is served, the daemon runs its acceptor and
+    // the connection's reader and writer, and no pool worker.
+    assert_eq!(thread_count(), baseline + 3, "daemon threads beyond accept/reader/writer");
+
+    drop(client);
+    let stats = server.join();
+    assert_eq!((stats.requests, stats.accepted, stats.cached), (1, 1, 0), "{stats:?}");
+    assert_eq!((stats.shed, stats.errors, stats.inflight), (0, 0, 0), "{stats:?}");
+    assert_threads_drain_to(baseline);
+}
+
+/// Start a daemon with one miss slot and the test gate, and wedge one
+/// connection's miss in that slot. Returns the server, the gate's
+/// drop guard (declared after the server), and the wedged client with
+/// its pending request's id and cell.
+fn wedge_the_only_miss_slot(
+    svc: &Arc<PredictionService>,
+    key: &ShardKey,
+    coll: Collective,
+    max_shed_inflight: usize,
+) -> (NetServer, ReleaseOnDrop, NetClient, u64, Instance) {
+    let gate = Gate::new();
+    let server = NetServer::start_with_gate(
+        Arc::clone(svc),
+        always_shed(),
+        NetConfig { max_misses: 1, max_shed_inflight, ..NetConfig::default() },
+        gate.as_fn(),
+    )
+    .unwrap();
+    let unwedge = ReleaseOnDrop(Arc::clone(&gate));
+    let mut wedged = NetClient::connect(server.local_addr()).unwrap();
+    let cell = Instance::new(coll, 777, 3, 2);
+    let id = wedged.send_select(key, &cell).unwrap();
+    gate.wait_entered(1);
+    (server, unwedge, wedged, id, cell)
+}
+
+/// Release the gate and check the wedged miss is then answered by the
+/// model, bit-identical to the in-process service.
+fn unwedge_and_check(
+    unwedge: &ReleaseOnDrop,
+    wedged: &mut NetClient,
+    id: u64,
+    svc: &PredictionService,
+    key: &ShardKey,
+    cell: &Instance,
+) {
+    unwedge.0.release();
+    let (got, reply) = wedged.recv().unwrap();
+    assert_eq!(got, id);
+    match reply {
+        Reply::Selection { selection, shed: false } => {
+            assert_bit_identical(svc, key, cell, &selection);
+        }
+        other => panic!("the wedged miss must be computed once released, got {other:?}"),
+    }
+}
+
 #[test]
 fn wedged_workers_shed_degraded_answers_and_never_drop() {
     let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
-    let gate = Gate::new();
-    let server = NetServer::start_with_gate(
-        Arc::clone(&svc),
-        always_shed(),
-        NetConfig {
-            batch: BatchConfig { workers: 1, max_batch: 4, max_queue: 2 },
-            reply_timeout: Duration::from_millis(300),
-            max_shed_inflight: 1024,
-            ..NetConfig::default()
-        },
-        gate.as_fn(),
-    )
-    .unwrap();
-    let _unwedge = ReleaseOnDrop(Arc::clone(&gate));
+    let (server, unwedge, mut wedged, wedged_id, wedged_cell) =
+        wedge_the_only_miss_slot(&svc, &key, coll, 1024);
     let addr = server.local_addr();
 
-    // 4 connections blast open-loop bursts at a 2-slot admission queue
-    // behind a wedged worker: replies must be shed (degraded) or typed
-    // timeouts for the few admitted tickets — never a hang, never a
-    // missing reply.
+    // One connection's miss holds the daemon's only miss slot. 4 more
+    // connections blast open-loop bursts of misses: every one must be
+    // shed (degraded) — never a hang, never a missing reply.
     const CLIENTS: usize = 4;
     const BURST: usize = 50;
-    let tallies: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
+    let tallies: Vec<u64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|t| {
                 let (key, cells) = (&key, &cells);
@@ -316,7 +408,7 @@ fn wedged_workers_shed_degraded_answers_and_never_drop() {
                         let inst = &cells[(t + i) % cells.len()];
                         ids.push_back(client.send_select(key, inst).unwrap());
                     }
-                    let (mut shed, mut timeouts, mut overloaded) = (0u64, 0u64, 0u64);
+                    let mut shed = 0u64;
                     while let Some(want) = ids.pop_front() {
                         let (id, reply) = client.recv().unwrap();
                         assert_eq!(id, want);
@@ -326,18 +418,10 @@ fn wedged_workers_shed_degraded_answers_and_never_drop() {
                                 assert_eq!(selection.predicted_us, None);
                                 shed += 1;
                             }
-                            Reply::Selection { shed: false, .. } => {
-                                panic!("wedged workers cannot produce a real prediction")
-                            }
-                            Reply::Error { code: ERR_TIMEOUT, .. } => timeouts += 1,
-                            Reply::Error { code: ERR_OVERLOADED, .. } => overloaded += 1,
-                            Reply::Error { code, message } => {
-                                panic!("unexpected error ({code}): {message}")
-                            }
-                            Reply::ShutdownAck => panic!("unsolicited shutdown ack"),
+                            other => panic!("the slot is held, so expected a shed: {other:?}"),
                         }
                     }
-                    (shed, timeouts, overloaded)
+                    shed
                 })
             })
             .collect();
@@ -345,22 +429,19 @@ fn wedged_workers_shed_degraded_answers_and_never_drop() {
     });
 
     let offered = (CLIENTS * BURST) as u64;
-    let (shed, timeouts, overloaded) =
-        tallies.iter().fold((0, 0, 0), |(a, b, c), (s, t, o)| (a + s, b + t, c + o));
-    assert_eq!(shed + timeouts + overloaded, offered, "every request answered");
-    assert!(shed > 0, "the queue cap must force shedding");
-    assert!(timeouts <= offered, "sanity");
-
+    let shed: u64 = tallies.iter().sum();
+    assert_eq!(shed, offered, "every request answered, each one shed");
     let stats = server.stats();
-    assert_eq!(stats.requests, offered);
-    assert_eq!(stats.accepted + stats.shed + stats.overloaded, offered, "{stats:?}");
-    assert_eq!(stats.shed, shed, "{stats:?}");
+    assert_eq!(stats.requests, offered + 1, "{stats:?}");
+    assert_eq!((stats.shed, stats.overloaded), (offered, 0), "{stats:?}");
 
-    // Unwedge so shutdown can drain the stuck tickets, then verify a
-    // clean exit: counters final, no threads left behind.
-    gate.release();
+    // Unwedge: the held miss is computed; then a clean exit, counters
+    // final, no threads left behind.
+    unwedge_and_check(&unwedge, &mut wedged, wedged_id, &svc, &key, &wedged_cell);
+    drop(wedged);
     let stats = server.join();
-    assert_eq!(stats.inflight, 0, "drained: {stats:?}");
+    assert_eq!(stats.accepted + stats.shed + stats.overloaded, stats.requests, "{stats:?}");
+    assert_eq!((stats.accepted, stats.inflight), (1, 0), "drained: {stats:?}");
     assert_threads_drain_to(baseline);
 }
 
@@ -370,52 +451,39 @@ fn saturated_shedding_degrades_to_typed_overloaded_errors() {
     let (svc, key, coll) = fixture_service();
     let cells = grid(coll);
     let baseline = thread_count();
-    let gate = Gate::new();
-    // max_shed_inflight 0: the fallback lane is closed, so everything
-    // past the 1-slot queue must come back as a typed error.
-    let server = NetServer::start_with_gate(
-        Arc::clone(&svc),
-        always_shed(),
-        NetConfig {
-            batch: BatchConfig { workers: 1, max_batch: 4, max_queue: 1 },
-            reply_timeout: Duration::from_millis(200),
-            max_shed_inflight: 0,
-            ..NetConfig::default()
-        },
-        gate.as_fn(),
-    )
-    .unwrap();
-    let _unwedge = ReleaseOnDrop(Arc::clone(&gate));
+    // max_shed_inflight 0: the fallback lane is closed, so every miss
+    // past the held miss slot must come back as a typed error.
+    let (server, unwedge, mut wedged, wedged_id, wedged_cell) =
+        wedge_the_only_miss_slot(&svc, &key, coll, 0);
 
     let mut client = NetClient::connect(server.local_addr()).unwrap();
     let mut ids = VecDeque::new();
-    for i in 0..8 {
-        ids.push_back(client.send_select(&key, &cells[i % cells.len()]).unwrap());
+    for inst in &cells[..8] {
+        ids.push_back(client.send_select(&key, inst).unwrap());
     }
-    let (mut overloaded, mut timeouts) = (0u64, 0u64);
+    let mut overloaded = 0u64;
     while let Some(want) = ids.pop_front() {
         let (id, reply) = client.recv().unwrap();
         assert_eq!(id, want);
         match reply {
             Reply::Error { code: ERR_OVERLOADED, .. } => overloaded += 1,
-            Reply::Error { code: ERR_TIMEOUT, .. } => timeouts += 1,
-            other => panic!("expected a typed error, got {other:?}"),
+            other => panic!("expected a typed overloaded error, got {other:?}"),
         }
     }
-    assert!(overloaded >= 1, "saturated shedding must answer overloaded");
-    assert_eq!(overloaded + timeouts, 8);
+    assert_eq!(overloaded, 8, "saturated shedding must answer overloaded");
     let stats = server.stats();
     assert_eq!(stats.shed, 0, "the closed fallback lane shed nothing: {stats:?}");
     assert_eq!(stats.overloaded, overloaded, "{stats:?}");
 
-    gate.release();
-    drop(client);
-    server.join();
+    unwedge_and_check(&unwedge, &mut wedged, wedged_id, &svc, &key, &wedged_cell);
+    drop((client, wedged));
+    let stats = server.join();
+    assert_eq!((stats.accepted, stats.overloaded, stats.inflight), (1, 8, 0), "{stats:?}");
     assert_threads_drain_to(baseline);
 }
 
 #[test]
-fn cache_hits_wait_behind_a_timed_out_miss() {
+fn cache_hits_wait_behind_a_wedged_miss() {
     let _serial = NET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (svc, key, coll) = fixture_service();
     let baseline = thread_count();
@@ -423,35 +491,38 @@ fn cache_hits_wait_behind_a_timed_out_miss() {
     let server = NetServer::start_with_gate(
         Arc::clone(&svc),
         always_shed(),
-        NetConfig {
-            batch: BatchConfig { workers: 1, max_batch: 4, max_queue: 4 },
-            reply_timeout: Duration::from_millis(200),
-            ..NetConfig::default()
-        },
+        NetConfig::default(),
         gate.as_fn(),
     )
     .unwrap();
+    let unwedge = ReleaseOnDrop(Arc::clone(&gate));
 
-    // Warm one cell in-process; the wedged worker can answer nothing.
+    // Warm one cell in-process.
     let warm = Instance::new(coll, 4096, 3, 2);
     let cold = Instance::new(coll, 8192, 5, 3);
     svc.select(&key, &warm).unwrap();
 
-    // The hit is answered at admission, but its reply must still wait
-    // for the earlier miss's timeout: replies keep request order.
+    // The miss holds the connection's reader in the gate, so the hit
+    // sent behind it is not even decoded until the miss is answered:
+    // replies keep request order.
     let mut client = NetClient::connect(server.local_addr()).unwrap();
     let miss = client.send_select(&key, &cold).unwrap();
     let hit = client.send_select(&key, &warm).unwrap();
+    gate.wait_entered(1);
+    let wedged = server.stats();
+    unwedge.0.release();
     let first = client.recv();
     let second = client.recv();
-    let (stats, cache) = (server.stats(), svc.stats());
-    // Unwedge before asserting: a failed assertion must not leave the
-    // daemon's drop joining a worker stuck in the gate.
-    gate.release();
+    assert_eq!(wedged.requests, 1, "the hit waits behind the wedged miss: {wedged:?}");
 
     let (id, reply) = first.unwrap();
     assert_eq!(id, miss, "the miss is answered first");
-    assert!(matches!(reply, Reply::Error { code: ERR_TIMEOUT, .. }), "{reply:?}");
+    match reply {
+        Reply::Selection { selection, shed: false } => {
+            assert_bit_identical(&svc, &key, &cold, &selection);
+        }
+        other => panic!("the released miss must be computed, got {other:?}"),
+    }
     let (id, reply) = second.unwrap();
     assert_eq!(id, hit);
     match reply {
@@ -460,13 +531,13 @@ fn cache_hits_wait_behind_a_timed_out_miss() {
         }
         other => panic!("the warm cell must be answered from the cache, got {other:?}"),
     }
-    assert_eq!((stats.requests, stats.accepted, stats.cached), (2, 2, 1), "{stats:?}");
-    assert_eq!(stats.errors, 1, "{stats:?}");
-    assert_eq!((cache.hits(), cache.misses()), (1, 1), "warm-up miss, admission hit");
+    let cache = svc.stats();
+    assert_eq!((cache.hits(), cache.misses()), (1, 2), "warm-up miss, wire miss, wire hit");
 
     drop(client);
     let stats = server.join();
-    assert_eq!(stats.inflight, 0, "drained: {stats:?}");
+    assert_eq!((stats.requests, stats.accepted, stats.cached), (2, 2, 1), "{stats:?}");
+    assert_eq!((stats.errors, stats.inflight), (0, 0), "drained: {stats:?}");
     assert_threads_drain_to(baseline);
 }
 
